@@ -327,3 +327,51 @@ pub(crate) fn restore_session(
         journal_len,
     })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The literal JSON of one journal record per journaled command.
+    /// Journals already on disk hold exactly these bytes, so a change
+    /// here strands every durable session written before it.
+    const GOLDEN_RECORDS: [&str; 6] = [
+        r#"{"at_ns":0,"command":{"ScheduleSignal":{"time_ns":500000,"label":"lamp","value":{"Bool":true}}}}"#,
+        r#"{"at_ns":1000,"command":{"AddBreakpoint":{"matcher":{"kind":"StateEnter","path_prefix":null},"one_shot":false}}}"#,
+        r#"{"at_ns":2000,"command":"ClearBreakpoints"}"#,
+        r#"{"at_ns":3000,"command":"Step"}"#,
+        r#"{"at_ns":4000,"command":"Resume"}"#,
+        r#"{"at_ns":5000,"command":{"RunFor":{"duration_ns":7}}}"#,
+    ];
+
+    /// Golden bytes, both directions: each literal decodes and
+    /// re-encodes to itself, `Journal::append` writes exactly the
+    /// length-prefixed literals, and `read_journal` reads them back.
+    #[test]
+    fn journal_records_match_the_golden_bytes() {
+        let dir = std::env::temp_dir().join(format!("gmdf-journal-golden-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let mut journal = Journal::open(&dir.join("journal.log")).expect("open journal");
+        let mut expected = Vec::new();
+        for golden in GOLDEN_RECORDS {
+            let record: JournalRecord =
+                serde_json::from_str(golden).expect("golden record decodes");
+            assert_eq!(serde_json::to_string(&record).expect("serializes"), golden);
+            journal
+                .append(record.at_ns, &record.command)
+                .expect("append");
+            expected.extend_from_slice(&(golden.len() as u32).to_be_bytes());
+            expected.extend_from_slice(golden.as_bytes());
+        }
+        let on_disk = std::fs::read(dir.join("journal.log")).expect("read journal file");
+        assert_eq!(on_disk, expected);
+        let read_back: Vec<String> = read_journal(&dir)
+            .expect("read journal")
+            .iter()
+            .map(|record| serde_json::to_string(record).expect("serializes"))
+            .collect();
+        assert_eq!(read_back, GOLDEN_RECORDS);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

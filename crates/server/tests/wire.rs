@@ -359,6 +359,99 @@ proptest! {
     }
 }
 
+/// The literal v6 JSON of every command variant inside a `Command`
+/// envelope, in the order `command_frames_match_the_golden_bytes` sends
+/// them through `WireClient` (seq 1..=12, session 0). Clients built
+/// against v6 depend on these bytes; a change here is a protocol break.
+const GOLDEN_COMMAND_FRAMES: [&str; 12] = [
+    r#"{"Command":{"seq":1,"session":0,"command":{"ScheduleSignal":{"time_ns":500000,"label":"lamp","value":{"Real":0.25}}}}}"#,
+    r#"{"Command":{"seq":2,"session":0,"command":{"AddBreakpoint":{"matcher":{"kind":"StateEnter","path_prefix":"A/fsm"},"one_shot":true}}}}"#,
+    r#"{"Command":{"seq":3,"session":0,"command":"ClearBreakpoints"}}"#,
+    r#"{"Command":{"seq":4,"session":0,"command":"Step"}}"#,
+    r#"{"Command":{"seq":5,"session":0,"command":"Resume"}}"#,
+    r#"{"Command":{"seq":6,"session":0,"command":{"RunFor":{"duration_ns":7}}}}"#,
+    r#"{"Command":{"seq":7,"session":0,"command":{"Snapshot":{"include_trace":true}}}}"#,
+    r#"{"Command":{"seq":8,"session":0,"command":{"FetchRange":{"t0_ns":10,"t1_ns":20}}}}"#,
+    r#"{"Command":{"seq":9,"session":0,"command":{"ReplayFrom":{"seq":30,"limit":40}}}}"#,
+    r#"{"Command":{"seq":10,"session":0,"command":{"SeekTo":{"t_ns":50,"include_trace":false}}}}"#,
+    r#"{"Command":{"seq":11,"session":0,"command":{"StepBack":{"entries":60,"include_trace":true}}}}"#,
+    r#"{"Command":{"seq":12,"session":0,"command":{"ReplayWindow":{"t0_ns":70,"t1_ns":80}}}}"#,
+];
+
+/// Golden bytes, both directions: each literal decodes and re-encodes
+/// to itself, and `WireClient`'s public command methods put exactly
+/// these payloads on the socket (captured by a bare listener that
+/// answers every command with a request-level error).
+#[test]
+fn command_frames_match_the_golden_bytes() {
+    for golden in GOLDEN_COMMAND_FRAMES {
+        let frame: ClientFrame = decode_payload(golden.as_bytes()).expect("golden frame decodes");
+        assert_eq!(json_of(&frame), golden);
+    }
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("bound address");
+    let capture = std::thread::spawn(move || {
+        let (mut raw, _) = listener.accept().expect("accept");
+        let mut decoder = FrameDecoder::new();
+        let mut chunk = [0u8; 4096];
+        let mut next_payload = |raw: &mut std::net::TcpStream| loop {
+            if let Some(payload) = decoder.next_payload().expect("frame") {
+                break String::from_utf8(payload).expect("UTF-8 payload");
+            }
+            let n = raw.read(&mut chunk).expect("read");
+            assert!(n > 0, "client hung up early");
+            decoder.feed(&chunk[..n]);
+        };
+        next_payload(&mut raw); // Hello
+        let ack = ServerFrame::HelloAck {
+            version: WIRE_VERSION,
+            sessions: vec![0],
+            quarantined: vec![],
+        };
+        raw.write_all(&encode_frame(&ack).expect("encodes"))
+            .expect("hello ack");
+        let mut captured = Vec::new();
+        for _ in 0..GOLDEN_COMMAND_FRAMES.len() {
+            let payload = next_payload(&mut raw);
+            let Ok(ClientFrame::Command { seq, .. }) = decode_payload(payload.as_bytes()) else {
+                panic!("expected a Command frame, got {payload}");
+            };
+            let refusal = ServerFrame::Error {
+                seq: Some(seq),
+                message: "captured".to_owned(),
+            };
+            raw.write_all(&encode_frame(&refusal).expect("encodes"))
+                .expect("reply");
+            captured.push(payload);
+        }
+        captured
+    });
+
+    let mut client = WireClient::connect(addr).expect("handshake");
+    let refused = |result: Result<(), WireError>| {
+        assert_eq!(result, Err(WireError::Remote("captured".to_owned())));
+    };
+    refused(client.schedule_signal(0, 500_000, "lamp", SignalValue::Real(0.25)));
+    refused(client.add_breakpoint(
+        0,
+        CommandMatcher::kind(EventKind::StateEnter).under("A/fsm"),
+        true,
+    ));
+    refused(client.clear_breakpoints(0));
+    refused(client.step(0));
+    refused(client.resume(0));
+    refused(client.run_for(0, 7));
+    refused(client.snapshot(0, true, WAIT).map(drop));
+    refused(client.fetch_range(0, 10, 20, WAIT).map(drop));
+    refused(client.replay_from(0, 30, 40, WAIT).map(drop));
+    refused(client.seek_to(0, 50, false, WAIT).map(drop));
+    refused(client.step_back(0, 60, true, WAIT).map(drop));
+    refused(client.replay_window(0, 70, 80, WAIT).map(drop));
+    let captured = capture.join().expect("capture thread");
+    assert_eq!(captured, GOLDEN_COMMAND_FRAMES);
+}
+
 #[test]
 fn oversized_frame_length_is_rejected() {
     let mut decoder = FrameDecoder::new();
