@@ -72,7 +72,9 @@ mod workflow;
 
 pub use channel::{to_event_value, ActiveChannel, PassiveChannel};
 pub use presets::{comdes_abstraction, comdes_allowed_transitions, comdes_gdm, comdes_gdm_default};
-pub use session::{ChannelMode, DebugSession, RunReport, SessionCheckpoint, SessionError};
+pub use session::{
+    ChannelMode, DebugSession, Mutation, RunReport, SessionCheckpoint, SessionError,
+};
 pub use spec::SessionSpec;
 pub use workflow::{Workflow, WorkflowConfigured, WorkflowMapped};
 

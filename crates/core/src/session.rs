@@ -10,7 +10,7 @@ use crate::channel::{ActiveChannel, PassiveChannel};
 use gmdf_codegen::{compile_system, CompileError, CompileOptions, FrameDecoder, ProgramImage};
 use gmdf_comdes::{ComdesError, Interpreter, SignalValue, System};
 use gmdf_engine::{classify, BugClass, DebuggerEngine, Divergence, EngineCheckpoint};
-use gmdf_gdm::{DebuggerModel, ModelEvent};
+use gmdf_gdm::{CommandMatcher, DebuggerModel, ModelEvent};
 use gmdf_target::{JtagMonitor, JtagState, SimConfig, SimError, SimState, Simulator};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -71,6 +71,46 @@ impl From<SimError> for SessionError {
     fn from(e: SimError) -> Self {
         SessionError::Sim(e)
     }
+}
+
+/// A model-level debug command that changes session state: the
+/// stimulus, breakpoint, step, resume and run vocabulary a debugger
+/// front end drives the runtime engine with.
+///
+/// Plain data, so a durable server journals it verbatim and replays
+/// it through the same [`DebugSession::apply`] that applied it live.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum Mutation {
+    /// Schedule an environment stimulus on the target.
+    ScheduleSignal {
+        /// Absolute target time of the write.
+        time_ns: u64,
+        /// Board label to write.
+        label: String,
+        /// Value to write.
+        value: SignalValue,
+    },
+    /// Install a model-level breakpoint on the engine.
+    AddBreakpoint {
+        /// Events that trigger the pause.
+        matcher: CommandMatcher,
+        /// Remove after the first hit.
+        one_shot: bool,
+    },
+    /// Remove all breakpoints.
+    ClearBreakpoints,
+    /// While paused: process exactly one queued engine command.
+    Step,
+    /// Resume the engine, draining queued commands until empty or the
+    /// next breakpoint.
+    Resume,
+    /// Grant run budget: the target may advance `duration_ns` further.
+    /// The session itself does not run; whoever pumps it spends the
+    /// budget [`DebugSession::apply`] returns.
+    RunFor {
+        /// Additional target time to run, in nanoseconds.
+        duration_ns: u64,
+    },
 }
 
 /// Summary of one [`DebugSession::run_for`] call.
@@ -361,6 +401,36 @@ impl DebugSession {
         self.sim.schedule_signal(time_ns, label, value)?;
         self.stimuli.push((time_ns, label.to_owned(), value));
         Ok(())
+    }
+
+    /// Applies one [`Mutation`] and returns the run budget it grants,
+    /// in nanoseconds: `duration_ns` for [`Mutation::RunFor`], zero for
+    /// everything else.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError::UnknownLabel`] from a stimulus on a label
+    /// the target does not have; the session is unchanged then.
+    pub fn apply(&mut self, mutation: &Mutation) -> Result<u64, SessionError> {
+        match mutation {
+            Mutation::ScheduleSignal {
+                time_ns,
+                label,
+                value,
+            } => self.schedule_signal(*time_ns, label, *value)?,
+            Mutation::AddBreakpoint { matcher, one_shot } => {
+                self.engine.add_breakpoint(matcher.clone(), *one_shot);
+            }
+            Mutation::ClearBreakpoints => self.engine.clear_breakpoints(),
+            Mutation::Step => {
+                self.engine.step();
+            }
+            Mutation::Resume => {
+                self.engine.resume();
+            }
+            Mutation::RunFor { duration_ns } => return Ok(*duration_ns),
+        }
+        Ok(0)
     }
 
     /// Current target simulation time.

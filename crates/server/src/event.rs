@@ -96,12 +96,14 @@ impl EngineEvent {
 }
 
 /// A bounded page of trace history — the reply to
-/// [`SessionCommand::FetchRange`] and [`SessionCommand::ReplayFrom`].
-/// Remote clients page a long (possibly disk-backed) trace through
-/// these instead of pulling the whole record in one snapshot.
+/// [`Query::FetchRange`], [`Query::ReplayFrom`] and
+/// [`Query::ReplayWindow`]. Remote clients page a long (possibly
+/// disk-backed) trace through these instead of pulling the whole record
+/// in one snapshot.
 ///
-/// [`SessionCommand::FetchRange`]: crate::SessionCommand::FetchRange
-/// [`SessionCommand::ReplayFrom`]: crate::SessionCommand::ReplayFrom
+/// [`Query::FetchRange`]: crate::Query::FetchRange
+/// [`Query::ReplayFrom`]: crate::Query::ReplayFrom
+/// [`Query::ReplayWindow`]: crate::Query::ReplayWindow
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceSlice {
     /// The session whose trace was read.
@@ -111,10 +113,11 @@ pub struct TraceSlice {
     pub first_seq: u64,
     /// The entries, in sequence order. Capped server-side
     /// ([`MAX_FETCH_ENTRIES`]) — while `complete` is false, continue
-    /// with [`SessionCommand::ReplayFrom`] at
+    /// with [`Query::ReplayFrom`] at
     /// `first_seq + entries.len()` until `end_seq`.
     ///
     /// [`MAX_FETCH_ENTRIES`]: crate::MAX_FETCH_ENTRIES
+    /// [`Query::ReplayFrom`]: crate::Query::ReplayFrom
     pub entries: Vec<TraceEntry>,
     /// Exclusive upper bound of the *full* requested range: the
     /// window's last matching sequence + 1 for `FetchRange`, the trace
@@ -127,15 +130,15 @@ pub struct TraceSlice {
     pub complete: bool,
 }
 
-/// The reply to [`SessionCommand::SeekTo`] /
-/// [`SessionCommand::StepBack`]: where the time-travel replica landed
+/// The reply to [`Query::SeekTo`] / [`Query::StepBack`]: where the
+/// time-travel replica landed
 /// and what it cost to get there. The live session is untouched by a
 /// seek — the server restores the nearest persisted checkpoint into a
 /// throwaway replica and deterministically replays it forward
 /// O(checkpoint interval), instead of O(whole trace) from zero.
 ///
-/// [`SessionCommand::SeekTo`]: crate::SessionCommand::SeekTo
-/// [`SessionCommand::StepBack`]: crate::SessionCommand::StepBack
+/// [`Query::SeekTo`]: crate::Query::SeekTo
+/// [`Query::StepBack`]: crate::Query::StepBack
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SeekReport {
     /// The session whose history was seeked.

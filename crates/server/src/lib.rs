@@ -11,10 +11,14 @@
 //! Each hosted session exposes two asynchronous surfaces through its
 //! [`SessionHandle`]:
 //!
-//! * a **command mailbox** — [`SessionCommand`]s (schedule a signal,
-//!   add/clear breakpoints, step, resume, run-for, snapshot) queue
-//!   without blocking and are applied in arrival order at the session's
-//!   next scheduling turn;
+//! * a **command mailbox** — data-only [`Mutation`]s (schedule a
+//!   signal, add/clear breakpoints, step, resume, run-for) and
+//!   [`Query`]s (snapshot, history pages, time-travel seeks) queue
+//!   without blocking and are handled in arrival order at the session's
+//!   next scheduling turn, so a query's answer reflects every mutation
+//!   posted before it. A durable session journals its mutations
+//!   verbatim, and restart and seek replay them through the one
+//!   [`gmdf::DebugSession::apply`];
 //! * a **broadcast event stream** — every subscriber gets its own
 //!   *bounded* [`EventReceiver`] of [`EngineEvent`]s (slice reports,
 //!   incremental trace deltas, violations, breakpoint hits), drained at
@@ -27,8 +31,9 @@
 //!
 //! Remote frontends attach over TCP: [`WireServer`] fronts a
 //! [`DebugServer`] with a length-prefixed, versioned JSON framing of
-//! the same vocabulary ([`proto`]), and [`WireClient`] drives it —
-//! attach to a session, send commands, stream events. The wire path
+//! the same vocabulary ([`proto`]; a [`SessionCommand`] is either a
+//! mutation or a query), and [`WireClient`] drives it — attach to a
+//! session, send commands, stream events. The wire path
 //! shares the broadcast backpressure policy, so a stalled socket can
 //! never wedge the scheduler either.
 //!
@@ -98,6 +103,9 @@ mod server;
 mod wire;
 
 pub use event::{EngineEvent, SeekReport, SessionSnapshot, TraceSlice};
+// The mutation vocabulary is defined next to the session it applies
+// to; re-exported so wire clients need only `gmdf_server`.
+pub use gmdf::Mutation;
 // The static-analysis vocabulary wire clients consume (`Analyze` frame
 // replies, `SessionInfo::diagnostics`): re-exported so remote tooling
 // needs only `gmdf_server`.
@@ -108,9 +116,10 @@ pub use metrics::{
     FleetMetrics, HealthState, MetricsRegistry, MetricsSnapshot, QuarantinedSession, SessionHealth,
     SessionInfo, WireConnection,
 };
+pub use proto::SessionCommand;
 pub use queue::{EventReceiver, TryIter, MAX_COALESCED_ENTRIES};
 pub use server::{
-    DebugServer, PersistConfig, ServerConfig, ServerError, SessionCommand, SessionHandle,
-    SessionId, DEFAULT_CHECKPOINT_INTERVAL, MAX_FETCH_BYTES, MAX_FETCH_ENTRIES,
+    DebugServer, PersistConfig, Query, ServerConfig, ServerError, SessionHandle, SessionId,
+    DEFAULT_CHECKPOINT_INTERVAL, MAX_FETCH_BYTES, MAX_FETCH_ENTRIES,
 };
 pub use wire::{WireClient, WireError, WireServer};

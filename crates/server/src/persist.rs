@@ -8,8 +8,8 @@
 //! <root>/sessions/<id>/
 //!   spec.json      the SessionSpec (system, GDM, channel, options)
 //!   journal.log    length-prefixed records of every applied
-//!                  state-affecting command, stamped with the target
-//!                  time at which it was applied
+//!                  mutation, stamped with the target time at which
+//!                  it was applied
 //!   trace/         the session's segmented trace store
 //!     meta.json
 //!     seg-*.log    hot segments (JSON or binary records, per meta)
@@ -19,17 +19,17 @@
 //! Restore leans entirely on determinism: the simulator, the code
 //! generator and slice pumping are all bit-exact, so *spec + journal*
 //! is the session. [`restore_session`] rebuilds the session from its
-//! spec, re-applies each journaled command at the exact target time it
-//! originally took effect (pumping the simulator up to that instant in
-//! between), and reattaches the recovered trace store — whose
-//! already-persisted prefix makes the trace drop re-generated entries
-//! instead of duplicating them (deterministic catch-up, see
+//! spec, reattaches the recovered trace store, and [`replay`]s the
+//! journal: each mutation is re-applied at the exact target time it
+//! originally took effect, with the simulator pumped up to that instant
+//! in between (time-travel seeks replay through the same function). The
+//! store's already-persisted prefix makes the trace drop re-generated
+//! entries instead of duplicating them (deterministic catch-up, see
 //! [`gmdf_engine::ExecutionTrace`]). Whatever run budget the journal
 //! grants beyond the restore point is handed back to the scheduler,
 //! which finishes the run as if the restart never happened.
 
-use crate::server::SessionCommand;
-use gmdf::{DebugSession, SessionSpec};
+use gmdf::{DebugSession, Mutation, SessionSpec};
 use gmdf_engine::store::{encode_record, read_records, SegmentConfig, SegmentStore};
 use gmdf_engine::EngineNotice;
 use serde::{Deserialize, Serialize};
@@ -38,16 +38,14 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 
-/// One journaled command: what was applied, and the target time the
+/// One journaled mutation: what was applied, and the target time the
 /// session had reached when it was applied.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct JournalRecord {
     /// Target simulation time at application.
     pub at_ns: u64,
-    /// The applied command (`Snapshot`/`FetchRange`/`ReplayFrom` are
-    /// read-only and never journaled; their deserialized reply channel
-    /// stand-ins make the derive usable here).
-    pub command: SessionCommand,
+    /// The applied mutation.
+    pub command: Mutation,
 }
 
 /// Append-only command journal for one durable session.
@@ -63,34 +61,18 @@ impl Journal {
         Ok(Journal { file })
     }
 
-    /// Appends one record and fsyncs it — commands are rare and each
+    /// Appends one record and fsyncs it — mutations are rare and each
     /// must survive a crash (including an OS crash or power loss) that
     /// happens right after it was accepted.
-    pub fn append(&mut self, at_ns: u64, command: &SessionCommand) -> std::io::Result<()> {
+    pub fn append(&mut self, at_ns: u64, mutation: &Mutation) -> std::io::Result<()> {
         let record = encode_record(&JournalRecord {
             at_ns,
-            command: command.clone(),
+            command: mutation.clone(),
         })
         .map_err(|e| std::io::Error::other(e.to_string()))?;
         self.file.write_all(&record)?;
         self.file.sync_data()
     }
-}
-
-/// `true` for commands that change session state and must be journaled
-/// (read-only queries are not part of the replayable history). The
-/// time-travel trio (`SeekTo`/`StepBack`/`ReplayWindow`) is read-only
-/// too: a seek inspects a detached replica, never the live session.
-pub(crate) fn journaled(command: &SessionCommand) -> bool {
-    !matches!(
-        command,
-        SessionCommand::Snapshot { .. }
-            | SessionCommand::FetchRange { .. }
-            | SessionCommand::ReplayFrom { .. }
-            | SessionCommand::SeekTo { .. }
-            | SessionCommand::StepBack { .. }
-            | SessionCommand::ReplayWindow { .. }
-    )
 }
 
 /// Directory of one session's persisted state.
@@ -184,6 +166,53 @@ pub(crate) fn persisted_ids(root: &Path) -> Vec<u64> {
     ids
 }
 
+/// What one [`replay`] re-applied.
+#[derive(Debug, Default)]
+pub(crate) struct Replayed {
+    /// Journal records applied.
+    pub records: u64,
+    /// Run budget those records granted, in total.
+    pub budget_ns: u64,
+    /// Model events fed by the pumps between records.
+    pub events_fed: u64,
+}
+
+/// Deterministic replay, shared by restart and seek: pumps `session` to
+/// each record's application instant and applies its mutation there,
+/// stopping before the first record stamped after `until_ns` (restart
+/// replays the whole journal; a seek stops at its target). Run budget
+/// is only tallied, never spent — the caller decides how far to run.
+///
+/// # Errors
+///
+/// Returns a message when a pump or a mutation fails (it cannot for a
+/// journal written by this code, barring on-disk tampering).
+pub(crate) fn replay(
+    session: &mut DebugSession,
+    records: &[JournalRecord],
+    until_ns: u64,
+) -> Result<Replayed, String> {
+    let mut replayed = Replayed::default();
+    for record in records {
+        if record.at_ns > until_ns {
+            break;
+        }
+        let now = session.now_ns();
+        if record.at_ns > now {
+            let report = session
+                .run_for(record.at_ns - now)
+                .map_err(|e| format!("replay pump failed: {e}"))?;
+            replayed.events_fed += report.events_fed as u64;
+        }
+        let granted_ns = session
+            .apply(&record.command)
+            .map_err(|e| format!("replaying {:?} failed: {e}", record.command))?;
+        replayed.budget_ns = replayed.budget_ns.saturating_add(granted_ns);
+        replayed.records += 1;
+    }
+    Ok(replayed)
+}
+
 /// A session rebuilt from its persisted state, ready to hand to the
 /// scheduler.
 #[derive(Debug)]
@@ -256,52 +285,9 @@ pub(crate) fn restore_session(
         records = recovered;
     }
 
-    // Deterministic replay: pump to each command's application instant,
-    // apply it, and tally the total granted run budget.
-    let journal_len = records.len() as u64;
-    let mut total_budget_ns: u64 = 0;
-    let mut events_fed: u64 = 0;
-    for record in records {
-        let now = session.now_ns();
-        if record.at_ns > now {
-            let report = session
-                .run_for(record.at_ns - now)
-                .map_err(|e| format!("session {id}: replay pump failed: {e}"))?;
-            events_fed += report.events_fed as u64;
-        }
-        match record.command {
-            SessionCommand::ScheduleSignal {
-                time_ns,
-                label,
-                value,
-            } => {
-                session
-                    .schedule_signal(time_ns, &label, value)
-                    .map_err(|e| format!("session {id}: replay stimulus failed: {e}"))?;
-            }
-            SessionCommand::AddBreakpoint { matcher, one_shot } => {
-                session.engine_mut().add_breakpoint(matcher, one_shot);
-            }
-            SessionCommand::ClearBreakpoints => session.engine_mut().clear_breakpoints(),
-            SessionCommand::Step => {
-                session.engine_mut().step();
-            }
-            SessionCommand::Resume => {
-                session.engine_mut().resume();
-            }
-            SessionCommand::RunFor { duration_ns } => {
-                total_budget_ns = total_budget_ns.saturating_add(duration_ns);
-            }
-            // Never journaled; tolerated for robustness.
-            SessionCommand::Snapshot { .. }
-            | SessionCommand::FetchRange { .. }
-            | SessionCommand::ReplayFrom { .. }
-            | SessionCommand::SeekTo { .. }
-            | SessionCommand::StepBack { .. }
-            | SessionCommand::ReplayWindow { .. } => {}
-        }
-    }
-    let remaining_ns = total_budget_ns.saturating_sub(session.now_ns());
+    let replayed =
+        replay(&mut session, &records, u64::MAX).map_err(|e| format!("session {id}: {e}"))?;
+    let remaining_ns = replayed.budget_ns.saturating_sub(session.now_ns());
 
     // Reconstruct the counters from the replayed prefix; the scheduler
     // continues them over the remaining budget.
@@ -320,11 +306,11 @@ pub(crate) fn restore_session(
         notices,
         journal,
         remaining_ns,
-        events_fed,
+        events_fed: replayed.events_fed,
         violations,
         breakpoint_hits,
         trace_cursor,
-        journal_len,
+        journal_len: replayed.records,
     })
 }
 

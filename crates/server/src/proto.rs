@@ -17,13 +17,14 @@
 //! * **Envelopes**: after the handshake, the connection is
 //!   **multiplexed**: the client attaches to any number of sessions
 //!   concurrently ([`ClientFrame::Attach`] / [`ClientFrame::Detach`]),
-//!   addresses every [`SessionCommand`] at an explicit session, and
-//!   polls the live session directory ([`ClientFrame::ListSessions`] /
+//!   addresses every [`SessionCommand`] — a [`Mutation`] or a
+//!   [`Query`] — at an explicit session, and polls the live session
+//!   directory ([`ClientFrame::ListSessions`] /
 //!   [`ServerFrame::Sessions`]). The server interleaves command replies
-//!   (`Ack` / `Snapshot` / `Error`) with the attached sessions' merged
-//!   [`EngineEvent`] stream on the same socket; every event carries its
-//!   session id, so frames demultiplex client-side without per-session
-//!   sockets.
+//!   (`Ack` / `Snapshot` / `Trace` / `Seek` / `Error`) with the
+//!   attached sessions' merged [`EngineEvent`] stream on the same
+//!   socket; every event carries its session id, so frames demultiplex
+//!   client-side without per-session sockets.
 //!
 //! The JSON encoding of every payload type is exactly the vendored
 //! serde shim's derive format, so a wire round-trip of an event stream
@@ -32,13 +33,13 @@
 
 use crate::event::{EngineEvent, SeekReport, SessionSnapshot, TraceSlice};
 use crate::metrics::{MetricsSnapshot, QuarantinedSession, SessionInfo};
-use crate::server::{SessionCommand, SessionId};
-use serde::{content_get, Content, DeError, Deserialize, Serialize};
-use std::sync::mpsc;
+use crate::server::{Query, SessionId};
+use gmdf::Mutation;
+use serde::{Content, DeError, Deserialize, Serialize};
 
 /// Protocol revision spoken by this build. Strict equality is required
 /// at handshake time. Version 2 added the history-paging pair
-/// ([`SessionCommand::FetchRange`] / [`SessionCommand::ReplayFrom`])
+/// ([`Query::FetchRange`] / [`Query::ReplayFrom`])
 /// and their [`ServerFrame::Trace`] reply. Version 3 added the
 /// server-scope telemetry pair ([`ClientFrame::ListMetrics`] /
 /// [`ServerFrame::Metrics`]) and the quarantine list in
@@ -54,10 +55,12 @@ use std::sync::mpsc;
 /// [`AnalysisReport`](gmdf_analyze::AnalysisReport), and the
 /// `diagnostics: (errors, warnings)` summary on every [`SessionInfo`]
 /// directory row. Version 6 added time travel: the
-/// [`SessionCommand::SeekTo`] / [`SessionCommand::StepBack`] commands
-/// with their [`ServerFrame::Seek`] reply, and
-/// [`SessionCommand::ReplayWindow`], answered — like the other history
-/// reads — with [`ServerFrame::Trace`].
+/// [`Query::SeekTo`] / [`Query::StepBack`] queries with their
+/// [`ServerFrame::Seek`] reply, and [`Query::ReplayWindow`], answered —
+/// like the other history reads — with [`ServerFrame::Trace`]. Within
+/// version 6 the command vocabulary was split into data-only
+/// [`Mutation`]s and [`Query`]s ([`SessionCommand`]) without changing a
+/// byte on the wire.
 pub const WIRE_VERSION: u32 = 6;
 
 /// Upper bound on one frame's payload length (64 MiB) — large enough
@@ -66,7 +69,7 @@ pub const WIRE_VERSION: u32 = 6;
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 
 /// A message from a remote client to the wire server.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ClientFrame {
     /// Handshake opener; must be the first frame on the connection.
     Hello {
@@ -106,11 +109,10 @@ pub enum ClientFrame {
         /// The session to detach.
         session: SessionId,
     },
-    /// Post one command to a hosted session's mailbox.
-    /// [`SessionCommand::Snapshot`] is answered with
-    /// [`ServerFrame::Snapshot`]; everything else with
-    /// [`ServerFrame::Ack`]. Commands are session-addressed and need no
-    /// prior attach.
+    /// Post one command to a hosted session's mailbox. A [`Mutation`]
+    /// is answered with [`ServerFrame::Ack`], a [`Query`] with its
+    /// reply frame. Commands are session-addressed and need no prior
+    /// attach.
     Command {
         /// Client-chosen request id, echoed in the reply.
         seq: u64,
@@ -181,16 +183,15 @@ pub enum ServerFrame {
         /// What went wrong.
         message: String,
     },
-    /// Reply to a [`SessionCommand::Snapshot`] command.
+    /// Reply to a [`Query::Snapshot`] command.
     Snapshot {
         /// The request id this answers.
         seq: u64,
         /// The consistent point-in-time view.
         snapshot: SessionSnapshot,
     },
-    /// Reply to a [`SessionCommand::FetchRange`] or
-    /// [`SessionCommand::ReplayFrom`] command: one page of trace
-    /// history.
+    /// Reply to a [`Query::FetchRange`], [`Query::ReplayFrom`] or
+    /// [`Query::ReplayWindow`] command: one page of trace history.
     Trace {
         /// The request id this answers.
         seq: u64,
@@ -215,9 +216,8 @@ pub enum ServerFrame {
         /// largest payload, and boxing keeps the frame enum small).
         snapshot: Box<MetricsSnapshot>,
     },
-    /// Reply to a [`SessionCommand::SeekTo`] or
-    /// [`SessionCommand::StepBack`] command: where the time-travel
-    /// replica landed.
+    /// Reply to a [`Query::SeekTo`] or [`Query::StepBack`] command:
+    /// where the time-travel replica landed.
     Seek {
         /// The request id this answers.
         seq: u64,
@@ -244,194 +244,44 @@ pub enum ServerFrame {
     },
 }
 
-fn tagged(tag: &str, fields: Vec<(Content, Content)>) -> Content {
-    Content::Map(vec![(Content::Str(tag.to_owned()), Content::Map(fields))])
+/// The payload of a [`ClientFrame::Command`]: a state change for the
+/// session's mailbox, or a read answered with its own reply frame.
+///
+/// On the wire the variant name is not written: a command is exactly
+/// its inner [`Mutation`] or [`Query`] (`{"RunFor":{"duration_ns":7}}`,
+/// `"Step"`, `{"Snapshot":{"include_trace":false}}`), and the two
+/// vocabularies share no variant name, so decoding is unambiguous.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SessionCommand {
+    /// Applied to the session and acknowledged with [`ServerFrame::Ack`].
+    Mutate(Mutation),
+    /// Answered with [`ServerFrame::Snapshot`], [`ServerFrame::Trace`]
+    /// or [`ServerFrame::Seek`].
+    Query(Query),
 }
 
-fn field(name: &str, value: Content) -> (Content, Content) {
-    (Content::Str(name.to_owned()), value)
-}
-
-fn get<T: Deserialize>(fields: &[(Content, Content)], name: &str) -> Result<T, DeError> {
-    T::from_content(content_get(fields, name).ok_or_else(|| DeError::missing(name))?)
-}
-
-// `SessionCommand` cannot derive its serde impls: the `Snapshot`
-// variant carries an in-process reply channel. On the wire the variant
-// is just `{"Snapshot":{"include_trace":…}}`; deserialization installs
-// a dangling reply sender, which the wire server replaces with its own
-// before forwarding (`apply_command` tolerates a dead reply channel).
-// Every other variant matches the derive format exactly.
 impl Serialize for SessionCommand {
     fn to_content(&self) -> Content {
         match self {
-            SessionCommand::ScheduleSignal {
-                time_ns,
-                label,
-                value,
-            } => tagged(
-                "ScheduleSignal",
-                vec![
-                    field("time_ns", time_ns.to_content()),
-                    field("label", label.to_content()),
-                    field("value", value.to_content()),
-                ],
-            ),
-            SessionCommand::AddBreakpoint { matcher, one_shot } => tagged(
-                "AddBreakpoint",
-                vec![
-                    field("matcher", matcher.to_content()),
-                    field("one_shot", one_shot.to_content()),
-                ],
-            ),
-            SessionCommand::ClearBreakpoints => Content::Str("ClearBreakpoints".to_owned()),
-            SessionCommand::Step => Content::Str("Step".to_owned()),
-            SessionCommand::Resume => Content::Str("Resume".to_owned()),
-            SessionCommand::RunFor { duration_ns } => tagged(
-                "RunFor",
-                vec![field("duration_ns", duration_ns.to_content())],
-            ),
-            SessionCommand::Snapshot { include_trace, .. } => tagged(
-                "Snapshot",
-                vec![field("include_trace", include_trace.to_content())],
-            ),
-            SessionCommand::FetchRange { t0_ns, t1_ns, .. } => tagged(
-                "FetchRange",
-                vec![
-                    field("t0_ns", t0_ns.to_content()),
-                    field("t1_ns", t1_ns.to_content()),
-                ],
-            ),
-            SessionCommand::ReplayFrom { seq, limit, .. } => tagged(
-                "ReplayFrom",
-                vec![
-                    field("seq", seq.to_content()),
-                    field("limit", limit.to_content()),
-                ],
-            ),
-            SessionCommand::SeekTo {
-                t_ns,
-                include_trace,
-                ..
-            } => tagged(
-                "SeekTo",
-                vec![
-                    field("t_ns", t_ns.to_content()),
-                    field("include_trace", include_trace.to_content()),
-                ],
-            ),
-            SessionCommand::StepBack {
-                entries,
-                include_trace,
-                ..
-            } => tagged(
-                "StepBack",
-                vec![
-                    field("entries", entries.to_content()),
-                    field("include_trace", include_trace.to_content()),
-                ],
-            ),
-            SessionCommand::ReplayWindow { t0_ns, t1_ns, .. } => tagged(
-                "ReplayWindow",
-                vec![
-                    field("t0_ns", t0_ns.to_content()),
-                    field("t1_ns", t1_ns.to_content()),
-                ],
-            ),
+            SessionCommand::Mutate(mutation) => mutation.to_content(),
+            SessionCommand::Query(query) => query.to_content(),
         }
     }
 }
 
 impl Deserialize for SessionCommand {
     fn from_content(c: &Content) -> Result<Self, DeError> {
-        if let Some(tag) = c.as_str() {
-            return match tag {
-                "ClearBreakpoints" => Ok(SessionCommand::ClearBreakpoints),
-                "Step" => Ok(SessionCommand::Step),
-                "Resume" => Ok(SessionCommand::Resume),
-                other => Err(DeError::custom(format!(
-                    "unknown variant `{other}` of SessionCommand"
-                ))),
-            };
-        }
-        let entries = c
-            .as_map()
-            .ok_or_else(|| DeError::custom("expected variant map for SessionCommand"))?;
-        let (tag, body) = entries
-            .first()
-            .ok_or_else(|| DeError::custom("empty variant map for SessionCommand"))?;
-        let tag = tag
-            .as_str()
-            .ok_or_else(|| DeError::custom("expected string variant tag"))?;
-        let fields = body
-            .as_map()
-            .ok_or_else(|| DeError::custom(format!("expected field map for `{tag}`")))?;
-        match tag {
-            "ScheduleSignal" => Ok(SessionCommand::ScheduleSignal {
-                time_ns: get(fields, "time_ns")?,
-                label: get(fields, "label")?,
-                value: get(fields, "value")?,
-            }),
-            "AddBreakpoint" => Ok(SessionCommand::AddBreakpoint {
-                matcher: get(fields, "matcher")?,
-                one_shot: get(fields, "one_shot")?,
-            }),
-            "RunFor" => Ok(SessionCommand::RunFor {
-                duration_ns: get(fields, "duration_ns")?,
-            }),
-            "Snapshot" => {
-                // The wire carries no reply channel; install a dangling
-                // sender the transport re-wires before forwarding.
-                let (reply, _) = mpsc::channel();
-                Ok(SessionCommand::Snapshot {
-                    reply,
-                    include_trace: get(fields, "include_trace")?,
-                })
-            }
-            "FetchRange" => {
-                let (reply, _) = mpsc::channel();
-                Ok(SessionCommand::FetchRange {
-                    t0_ns: get(fields, "t0_ns")?,
-                    t1_ns: get(fields, "t1_ns")?,
-                    reply,
-                })
-            }
-            "ReplayFrom" => {
-                let (reply, _) = mpsc::channel();
-                Ok(SessionCommand::ReplayFrom {
-                    seq: get(fields, "seq")?,
-                    limit: get(fields, "limit")?,
-                    reply,
-                })
-            }
-            "SeekTo" => {
-                let (reply, _) = mpsc::channel();
-                Ok(SessionCommand::SeekTo {
-                    t_ns: get(fields, "t_ns")?,
-                    include_trace: get(fields, "include_trace")?,
-                    reply,
-                })
-            }
-            "StepBack" => {
-                let (reply, _) = mpsc::channel();
-                Ok(SessionCommand::StepBack {
-                    entries: get(fields, "entries")?,
-                    include_trace: get(fields, "include_trace")?,
-                    reply,
-                })
-            }
-            "ReplayWindow" => {
-                let (reply, _) = mpsc::channel();
-                Ok(SessionCommand::ReplayWindow {
-                    t0_ns: get(fields, "t0_ns")?,
-                    t1_ns: get(fields, "t1_ns")?,
-                    reply,
-                })
-            }
-            other => Err(DeError::custom(format!(
-                "unknown variant `{other}` of SessionCommand"
-            ))),
-        }
+        Mutation::from_content(c)
+            .map(SessionCommand::Mutate)
+            .or_else(|as_mutation| {
+                Query::from_content(c)
+                    .map(SessionCommand::Query)
+                    .map_err(|as_query| {
+                        DeError::custom(format!(
+                            "neither a mutation ({as_mutation}) nor a query ({as_query})"
+                        ))
+                    })
+            })
     }
 }
 

@@ -28,7 +28,7 @@ use crate::metrics::{
 };
 use crate::persist;
 use crate::queue::{self, EventReceiver, EventSender};
-use gmdf::{DebugSession, SessionSpec};
+use gmdf::{DebugSession, Mutation, SessionSpec};
 use gmdf_analyze::AnalysisReport;
 use gmdf_comdes::SignalValue;
 use gmdf_engine::store::DEFAULT_SEGMENT_CAPACITY;
@@ -37,6 +37,7 @@ use gmdf_engine::{
     Retention, SegmentConfig, StoreError, TraceEntry,
 };
 use gmdf_gdm::CommandMatcher;
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
@@ -127,8 +128,8 @@ pub struct PersistConfig {
     /// slice, a durable session whose trace grew by at least this many
     /// entries since the last checkpoint writes a new one
     /// (crash-safely, next to its journal). Checkpoints are what make
-    /// [`SessionCommand::SeekTo`] / [`SessionCommand::StepBack`] /
-    /// [`SessionCommand::ReplayWindow`] O(interval) instead of
+    /// [`Query::SeekTo`] / [`Query::StepBack`] /
+    /// [`Query::ReplayWindow`] O(interval) instead of
     /// O(whole trace). `0` disables checkpointing (seeks fall back to
     /// replay-from-zero).
     pub checkpoint_interval: u64,
@@ -199,16 +200,16 @@ impl PersistConfig {
     }
 }
 
-/// Cap on the entries one [`SessionCommand::FetchRange`] /
-/// [`SessionCommand::ReplayFrom`] reply carries. While
+/// Cap on the entries one [`Query::FetchRange`] /
+/// [`Query::ReplayFrom`] reply carries. While
 /// [`TraceSlice::complete`] is false, clients continue with
-/// [`SessionCommand::ReplayFrom`] at `last().seq + 1` until
+/// [`Query::ReplayFrom`] at `last().seq + 1` until
 /// [`TraceSlice::end_seq`] — `FetchRange` itself has no sequence
 /// parameter, so re-issuing it only returns the same first page.
 pub const MAX_FETCH_ENTRIES: u64 = 4096;
 
-/// Cap on the *encoded* payload one [`SessionCommand::FetchRange`] /
-/// [`SessionCommand::ReplayFrom`] reply carries. An entry count alone
+/// Cap on the *encoded* payload one [`Query::FetchRange`] /
+/// [`Query::ReplayFrom`] reply carries. An entry count alone
 /// does not bound a page — 4096 entries of pathological width would
 /// overflow the 64 MiB wire frame and reach the client as an error
 /// instead of data — so the page is also cut at this many JSON bytes
@@ -217,68 +218,34 @@ pub const MAX_FETCH_ENTRIES: u64 = 4096;
 /// oversized record.
 pub const MAX_FETCH_BYTES: u64 = 32 * 1024 * 1024;
 
-/// A command posted to a session's mailbox.
-///
-/// Commands are applied in arrival order at the session's next
-/// scheduling turn. Posting never blocks; a failed session still
-/// services `Snapshot` but ignores run budget.
-#[derive(Debug, Clone)]
-pub enum SessionCommand {
-    /// Schedule an environment stimulus on the target. An unknown label
-    /// fails the session (it indicates a wiring bug in the client).
-    ScheduleSignal {
-        /// Absolute target time of the write.
-        time_ns: u64,
-        /// Board label to write.
-        label: String,
-        /// Value to write.
-        value: SignalValue,
-    },
-    /// Install a model-level breakpoint on the engine.
-    AddBreakpoint {
-        /// Events that trigger the pause.
-        matcher: CommandMatcher,
-        /// Remove after the first hit.
-        one_shot: bool,
-    },
-    /// Remove all breakpoints.
-    ClearBreakpoints,
-    /// While paused: process exactly one queued engine command.
-    Step,
-    /// Resume the engine, draining queued commands until empty or the
-    /// next breakpoint.
-    Resume,
-    /// Add run budget: pump the target `duration_ns` further (sliced by
-    /// the scheduler).
-    RunFor {
-        /// Additional target time to run, in nanoseconds.
-        duration_ns: u64,
-    },
-    /// Reply with a consistent snapshot of the session.
+/// A read posted to a session's mailbox: answered from a consistent
+/// view of the session at its next scheduling turn, ordered after every
+/// command posted before it. Queries never change the session and are
+/// never journaled. [`SessionHandle`]'s blocking readers
+/// ([`SessionHandle::snapshot`], [`SessionHandle::fetch_range`], …)
+/// post these and wait for the answer.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum Query {
+    /// A consistent [`SessionSnapshot`] of the session.
     Snapshot {
-        /// Where to deliver the snapshot.
-        reply: mpsc::Sender<SessionSnapshot>,
         /// Also serialize the full trace (O(trace length); leave off
         /// for cheap counter polls).
         include_trace: bool,
     },
-    /// Reply with the trace entries whose event time falls in
-    /// `[t0_ns, t1_ns]` — located through the store's time index, so a
-    /// narrow window over a long disk-backed trace reads only its own
-    /// segments. Capped at [`MAX_FETCH_ENTRIES`] entries and
-    /// [`MAX_FETCH_BYTES`] of encoded payload.
+    /// The trace entries whose event time falls in `[t0_ns, t1_ns]` —
+    /// located through the store's time index, so a narrow window over
+    /// a long disk-backed trace reads only its own segments. Capped at
+    /// [`MAX_FETCH_ENTRIES`] entries and [`MAX_FETCH_BYTES`] of encoded
+    /// payload.
     FetchRange {
         /// Window start (inclusive), in target nanoseconds.
         t0_ns: u64,
         /// Window end (inclusive), in target nanoseconds.
         t1_ns: u64,
-        /// Where to deliver the page.
-        reply: mpsc::Sender<TraceSlice>,
     },
-    /// Reply with up to `limit` trace entries starting at sequence
-    /// number `seq` — how clients page history (including the persisted
-    /// pre-restart prefix of a durable session) without holding the
-    /// whole trace.
+    /// Up to `limit` trace entries starting at sequence number `seq` —
+    /// how clients page history (including the persisted pre-restart
+    /// prefix of a durable session) without holding the whole trace.
     ReplayFrom {
         /// First sequence number wanted.
         seq: u64,
@@ -286,51 +253,91 @@ pub enum SessionCommand {
         /// larger values are clamped to it. The reply is additionally
         /// bounded by [`MAX_FETCH_BYTES`] of encoded payload.
         limit: u64,
-        /// Where to deliver the page.
-        reply: mpsc::Sender<TraceSlice>,
     },
-    /// Reply with a [`SeekReport`] for the session's state at target
-    /// time `t_ns` (clamped to the live clock). The server restores the
-    /// nearest persisted checkpoint at or before the target into a
-    /// detached replica and deterministically replays it forward —
+    /// A [`SeekReport`] for the session's state at target time `t_ns`
+    /// (clamped to the live clock). The server restores the nearest
+    /// persisted checkpoint at or before the target into a detached
+    /// replica and deterministically replays it forward —
     /// O(checkpoint interval), not O(trace length). The live session is
-    /// never touched. Requires a durable session; a seek failure is
-    /// reported on the reply channel, never by failing the session.
+    /// never touched. Requires a durable session; a seek failure is the
+    /// request's error, never the session's.
     SeekTo {
         /// Target instant, in target nanoseconds.
         t_ns: u64,
         /// Also serialize the replica's full trace into
         /// [`SeekReport::trace_json`] (O(trace length) to build).
         include_trace: bool,
-        /// Where to deliver the report (or the seek error).
-        reply: mpsc::Sender<Result<SeekReport, String>>,
     },
-    /// Reply with a [`SeekReport`] for the instant `entries` trace
-    /// entries before the current end of the trace — "rewind N steps".
-    /// Same checkpoint-restore machinery as [`Self::SeekTo`]; stepping
-    /// below the trace's retention floor is an error.
+    /// A [`SeekReport`] for the instant `entries` trace entries before
+    /// the current end of the trace — "rewind N steps". Same
+    /// checkpoint-restore machinery as [`Self::SeekTo`]; stepping below
+    /// the trace's retention floor is an error.
     StepBack {
         /// How many trace entries to step back from the end.
         entries: u64,
         /// Also serialize the replica's full trace.
         include_trace: bool,
-        /// Where to deliver the report (or the seek error).
-        reply: mpsc::Sender<Result<SeekReport, String>>,
     },
-    /// Reply with the trace entries whose event time falls in
-    /// `[t0_ns, t1_ns]`, regenerated by checkpoint-restore + replay
-    /// rather than read from the live store — so the window is
-    /// available even on a session whose early segments were evicted,
-    /// as long as a checkpoint precedes it. Paged exactly like
-    /// [`Self::FetchRange`] (same caps, same [`TraceSlice`] contract).
+    /// The trace entries whose event time falls in `[t0_ns, t1_ns]`,
+    /// regenerated by checkpoint-restore + replay rather than read from
+    /// the live store — so the window is available even on a session
+    /// whose early segments were evicted, as long as a checkpoint
+    /// precedes it. Paged exactly like [`Self::FetchRange`] (same caps,
+    /// same [`TraceSlice`] contract).
     ReplayWindow {
         /// Window start (inclusive), in target nanoseconds.
         t0_ns: u64,
         /// Window end (inclusive), in target nanoseconds.
         t1_ns: u64,
-        /// Where to deliver the page (or the seek error).
-        reply: mpsc::Sender<Result<TraceSlice, String>>,
     },
+}
+
+/// The answer to one [`Query`].
+#[derive(Debug)]
+pub(crate) enum Reply {
+    /// Answers [`Query::Snapshot`].
+    Snapshot(SessionSnapshot),
+    /// Answers [`Query::FetchRange`], [`Query::ReplayFrom`] and
+    /// [`Query::ReplayWindow`].
+    Trace(TraceSlice),
+    /// Answers [`Query::SeekTo`] and [`Query::StepBack`].
+    Seek(SeekReport),
+}
+
+impl Reply {
+    // Each query kind has exactly one reply kind (see `answer`), so a
+    // mismatch below is a server bug, not a client error.
+
+    fn into_snapshot(self) -> SessionSnapshot {
+        match self {
+            Reply::Snapshot(snapshot) => snapshot,
+            other => unreachable!("a snapshot query was answered with {other:?}"),
+        }
+    }
+
+    fn into_trace(self) -> TraceSlice {
+        match self {
+            Reply::Trace(slice) => slice,
+            other => unreachable!("a trace query was answered with {other:?}"),
+        }
+    }
+
+    fn into_seek(self) -> SeekReport {
+        match self {
+            Reply::Seek(report) => report,
+            other => unreachable!("a seek query was answered with {other:?}"),
+        }
+    }
+}
+
+/// One mailbox item. A query's reply channel travels beside it, never
+/// inside the public [`Query`] type. A seek failure comes back as the
+/// `Err` message; a history read that fails fails the session and
+/// drops the channel unanswered.
+#[derive(Debug)]
+enum Mail {
+    Mutate(Mutation),
+    Query(Query, mpsc::Sender<Result<Reply, String>>),
 }
 
 /// Server-side failure surfaced to clients.
@@ -417,7 +424,7 @@ struct SessionCell {
     /// Paired with `inner`; notified whenever a turn leaves the session
     /// quiescent.
     idle_cv: Condvar,
-    mailbox: Mutex<VecDeque<SessionCommand>>,
+    mailbox: Mutex<VecDeque<Mail>>,
     /// `true` while the session sits in (or is being pushed onto) its
     /// shard's run queue.
     queued: AtomicBool,
@@ -429,6 +436,25 @@ struct SessionCell {
     /// Analysis failures degrade to a one-error report — a session is
     /// never refused over its diagnostics.
     analysis: Arc<AnalysisReport>,
+}
+
+impl SessionCell {
+    /// The session's health, read under its state lock (`inner` is the
+    /// caller's guard; lock order inner → mailbox): failed, else
+    /// running while run budget, a run-queue slot or unapplied mail is
+    /// outstanding, else parked.
+    fn health(&self, inner: &SessionInner) -> HealthState {
+        if inner.failed.is_some() {
+            HealthState::Failed
+        } else if inner.remaining_ns > 0
+            || self.queued.load(Ordering::SeqCst)
+            || !lock(&self.mailbox).is_empty()
+        {
+            HealthState::Running
+        } else {
+            HealthState::Parked
+        }
+    }
 }
 
 /// One worker's run queue.
@@ -790,19 +816,9 @@ impl DebugServer {
         let mut rows = Vec::with_capacity(cells.len() + self.quarantined.len());
         for cell in &cells {
             let inner = lock(&cell.inner);
-            let state = if inner.failed.is_some() {
-                HealthState::Failed
-            } else if inner.remaining_ns > 0
-                || cell.queued.load(Ordering::SeqCst)
-                || !lock(&cell.mailbox).is_empty()
-            {
-                HealthState::Running
-            } else {
-                HealthState::Parked
-            };
             rows.push(SessionInfo {
                 session: cell.id,
-                state,
+                state: cell.health(&inner),
                 now_ns: inner.session.now_ns(),
                 trace_len: inner.session.engine().trace().len() as u64,
                 diagnostics: cell.analysis.diagnostic_counts(),
@@ -857,16 +873,6 @@ impl DebugServer {
         let mut sessions = Vec::with_capacity(cells.len() + self.quarantined.len());
         for cell in &cells {
             let inner = lock(&cell.inner);
-            let state = if inner.failed.is_some() {
-                HealthState::Failed
-            } else if inner.remaining_ns > 0
-                || cell.queued.load(Ordering::SeqCst)
-                || !lock(&cell.mailbox).is_empty()
-            {
-                HealthState::Running
-            } else {
-                HealthState::Parked
-            };
             let store_stats = inner.session.engine().trace().store_stats();
             let (memo_hits, memo_misses) = inner.session.simulator().memo_stats();
             fleet.events_fed += inner.events_fed;
@@ -878,7 +884,7 @@ impl DebugServer {
             fleet.memo_misses += memo_misses;
             sessions.push(SessionHealth {
                 session: cell.id,
-                state,
+                state: cell.health(&inner),
                 detail: inner.failed.clone(),
                 uptime_ms: cell.registered_at.elapsed().as_millis() as u64,
                 last_slice_age_ms: inner.last_slice.map(|t| t.elapsed().as_millis() as u64),
@@ -989,12 +995,18 @@ impl SessionHandle {
         Arc::clone(&self.cell.analysis)
     }
 
-    /// Posts a command to the session's mailbox and wakes its shard.
+    /// Posts a [`Mutation`] to the session's mailbox and wakes its
+    /// shard. It is applied, in arrival order, at the session's next
+    /// scheduling turn.
     ///
     /// # Errors
     ///
     /// Returns [`ServerError::Shutdown`] after the server stopped.
-    pub fn send(&self, command: SessionCommand) -> Result<(), ServerError> {
+    pub fn send(&self, mutation: Mutation) -> Result<(), ServerError> {
+        self.post(Mail::Mutate(mutation))
+    }
+
+    fn post(&self, mail: Mail) -> Result<(), ServerError> {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return Err(ServerError::Shutdown);
         }
@@ -1005,11 +1017,45 @@ impl SessionHandle {
         if self.shared.metrics.enabled() {
             self.shared.metrics.mailbox_depth.inc();
         }
-        lock(&self.cell.mailbox).push_back(command);
+        lock(&self.cell.mailbox).push_back(mail);
         if self.shared.enqueue(&self.cell) {
             Ok(())
         } else {
             Err(ServerError::Shutdown)
+        }
+    }
+
+    /// Round-trips one [`Query`] through the mailbox — so the answer is
+    /// ordered after every command posted before it — and waits for
+    /// the reply. A time-travel failure comes back as
+    /// [`ServerError::Persist`]; a dropped reply as the session or
+    /// server failure that caused it.
+    pub(crate) fn query(&self, query: Query, timeout: Duration) -> Result<Reply, ServerError> {
+        let (tx, rx) = mpsc::channel();
+        self.post(Mail::Query(query, tx))?;
+        let deadline = Instant::now() + timeout;
+        loop {
+            match rx.recv_timeout(POLL) {
+                Ok(reply) => return reply.map_err(ServerError::Persist),
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    // The reply sender was dropped undelivered. Usually
+                    // that means shutdown — but a panicked turn unwinds
+                    // the drained query too; report the session
+                    // failure, not a bogus server death.
+                    if let Some(msg) = &lock(&self.cell.inner).failed {
+                        return Err(ServerError::SessionFailed(msg.clone()));
+                    }
+                    return Err(ServerError::Shutdown);
+                }
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    if self.shared.shutdown.load(Ordering::SeqCst) {
+                        return Err(ServerError::Shutdown);
+                    }
+                    if Instant::now() >= deadline {
+                        return Err(ServerError::Timeout);
+                    }
+                }
+            }
         }
     }
 
@@ -1021,32 +1067,23 @@ impl SessionHandle {
     /// instead of growing memory without bound. Drop the receiver to
     /// unsubscribe.
     pub fn subscribe(&self) -> EventReceiver {
-        self.subscribe_with_capacity(self.shared.default_subscriber_capacity)
+        self.subscribe_queue(None, None)
     }
 
     /// Like [`SessionHandle::subscribe`] with an explicit queue
     /// capacity (`0` = unbounded, the legacy behaviour).
     pub fn subscribe_with_capacity(&self, capacity: usize) -> EventReceiver {
-        let mut inner = lock(&self.cell.inner);
-        let depth = self
-            .shared
-            .metrics
-            .enabled()
-            .then(|| self.shared.metrics.subscriber_depth.clone());
-        let (tx, rx) = queue::channel(self.cell.id, capacity, inner.lagged.clone(), depth, None);
-        inner.subscribers.push(tx);
-        rx
+        self.subscribe_queue(Some(capacity), None)
     }
 
-    /// The wire streamer's subscription: like
-    /// [`SessionHandle::subscribe_with_capacity`] (`None` = the
-    /// server's default capacity), but the queue also raises `notify`
-    /// on every push so one streamer thread can sleep on a single flag
+    /// Registers one subscriber queue (`None` capacity = the server's
+    /// default). The wire streamer passes a `notify` flag the queue
+    /// raises on every push, so one streamer thread can sleep on it
     /// while draining every attach on its connection.
-    pub(crate) fn subscribe_wire(
+    pub(crate) fn subscribe_queue(
         &self,
         capacity: Option<usize>,
-        notify: Arc<crate::queue::Notify>,
+        notify: Option<Arc<crate::queue::Notify>>,
     ) -> EventReceiver {
         let capacity = capacity.unwrap_or(self.shared.default_subscriber_capacity);
         let mut inner = lock(&self.cell.inner);
@@ -1055,27 +1092,21 @@ impl SessionHandle {
             .metrics
             .enabled()
             .then(|| self.shared.metrics.subscriber_depth.clone());
-        let (tx, rx) = queue::channel(
-            self.cell.id,
-            capacity,
-            inner.lagged.clone(),
-            depth,
-            Some(notify),
-        );
+        let (tx, rx) = queue::channel(self.cell.id, capacity, inner.lagged.clone(), depth, notify);
         inner.subscribers.push(tx);
         rx
     }
 
-    /// Convenience: [`SessionCommand::RunFor`].
+    /// Convenience: [`Mutation::RunFor`].
     ///
     /// # Errors
     ///
     /// Returns [`ServerError::Shutdown`] after the server stopped.
     pub fn run_for(&self, duration_ns: u64) -> Result<(), ServerError> {
-        self.send(SessionCommand::RunFor { duration_ns })
+        self.send(Mutation::RunFor { duration_ns })
     }
 
-    /// Convenience: [`SessionCommand::ScheduleSignal`].
+    /// Convenience: [`Mutation::ScheduleSignal`].
     ///
     /// # Errors
     ///
@@ -1086,14 +1117,14 @@ impl SessionHandle {
         label: &str,
         value: SignalValue,
     ) -> Result<(), ServerError> {
-        self.send(SessionCommand::ScheduleSignal {
+        self.send(Mutation::ScheduleSignal {
             time_ns,
             label: label.to_owned(),
             value,
         })
     }
 
-    /// Convenience: [`SessionCommand::AddBreakpoint`].
+    /// Convenience: [`Mutation::AddBreakpoint`].
     ///
     /// # Errors
     ///
@@ -1103,41 +1134,41 @@ impl SessionHandle {
         matcher: CommandMatcher,
         one_shot: bool,
     ) -> Result<(), ServerError> {
-        self.send(SessionCommand::AddBreakpoint { matcher, one_shot })
+        self.send(Mutation::AddBreakpoint { matcher, one_shot })
     }
 
-    /// Convenience: [`SessionCommand::ClearBreakpoints`].
+    /// Convenience: [`Mutation::ClearBreakpoints`].
     ///
     /// # Errors
     ///
     /// Returns [`ServerError::Shutdown`] after the server stopped.
     pub fn clear_breakpoints(&self) -> Result<(), ServerError> {
-        self.send(SessionCommand::ClearBreakpoints)
+        self.send(Mutation::ClearBreakpoints)
     }
 
-    /// Convenience: [`SessionCommand::Step`].
+    /// Convenience: [`Mutation::Step`].
     ///
     /// # Errors
     ///
     /// Returns [`ServerError::Shutdown`] after the server stopped.
     pub fn step(&self) -> Result<(), ServerError> {
-        self.send(SessionCommand::Step)
+        self.send(Mutation::Step)
     }
 
-    /// Convenience: [`SessionCommand::Resume`].
+    /// Convenience: [`Mutation::Resume`].
     ///
     /// # Errors
     ///
     /// Returns [`ServerError::Shutdown`] after the server stopped.
     pub fn resume(&self) -> Result<(), ServerError> {
-        self.send(SessionCommand::Resume)
+        self.send(Mutation::Resume)
     }
 
-    /// Round-trips a [`SessionCommand::Snapshot`] through the mailbox —
-    /// the snapshot is therefore ordered after every command posted
-    /// before it — including the serialized trace (O(trace length):
-    /// the *whole* record is materialized, even from a disk-backed
-    /// store; for long durable sessions page it with
+    /// Round-trips a [`Query::Snapshot`] through the mailbox — the
+    /// snapshot is therefore ordered after every command posted before
+    /// it — including the serialized trace (O(trace length): the
+    /// *whole* record is materialized, even from a disk-backed store;
+    /// for long durable sessions page it with
     /// [`SessionHandle::replay_from`] instead).
     ///
     /// # Errors
@@ -1145,7 +1176,10 @@ impl SessionHandle {
     /// [`ServerError::Shutdown`] if the server stops first,
     /// [`ServerError::Timeout`] if `timeout` elapses.
     pub fn snapshot(&self, timeout: Duration) -> Result<SessionSnapshot, ServerError> {
-        self.snapshot_inner(timeout, true)
+        let query = Query::Snapshot {
+            include_trace: true,
+        };
+        self.query(query, timeout).map(Reply::into_snapshot)
     }
 
     /// Like [`SessionHandle::snapshot`] but without serializing the
@@ -1156,20 +1190,10 @@ impl SessionHandle {
     /// [`ServerError::Shutdown`] if the server stops first,
     /// [`ServerError::Timeout`] if `timeout` elapses.
     pub fn stats(&self, timeout: Duration) -> Result<SessionSnapshot, ServerError> {
-        self.snapshot_inner(timeout, false)
-    }
-
-    fn snapshot_inner(
-        &self,
-        timeout: Duration,
-        include_trace: bool,
-    ) -> Result<SessionSnapshot, ServerError> {
-        let (tx, rx) = mpsc::channel();
-        self.send(SessionCommand::Snapshot {
-            reply: tx,
-            include_trace,
-        })?;
-        self.await_reply(&rx, timeout)
+        let query = Query::Snapshot {
+            include_trace: false,
+        };
+        self.query(query, timeout).map(Reply::into_snapshot)
     }
 
     /// Fetches the trace entries whose event time falls in
@@ -1187,13 +1211,8 @@ impl SessionHandle {
         t1_ns: u64,
         timeout: Duration,
     ) -> Result<TraceSlice, ServerError> {
-        let (tx, rx) = mpsc::channel();
-        self.send(SessionCommand::FetchRange {
-            t0_ns,
-            t1_ns,
-            reply: tx,
-        })?;
-        self.await_reply(&rx, timeout)
+        self.query(Query::FetchRange { t0_ns, t1_ns }, timeout)
+            .map(Reply::into_trace)
     }
 
     /// Fetches up to `limit` trace entries starting at sequence number
@@ -1211,13 +1230,8 @@ impl SessionHandle {
         limit: u64,
         timeout: Duration,
     ) -> Result<TraceSlice, ServerError> {
-        let (tx, rx) = mpsc::channel();
-        self.send(SessionCommand::ReplayFrom {
-            seq,
-            limit,
-            reply: tx,
-        })?;
-        self.await_reply(&rx, timeout)
+        self.query(Query::ReplayFrom { seq, limit }, timeout)
+            .map(Reply::into_trace)
     }
 
     /// Seeks the session's history to target time `t_ns` (clamped to
@@ -1239,14 +1253,14 @@ impl SessionHandle {
         include_trace: bool,
         timeout: Duration,
     ) -> Result<SeekReport, ServerError> {
-        let (tx, rx) = mpsc::channel();
-        self.send(SessionCommand::SeekTo {
-            t_ns,
-            include_trace,
-            reply: tx,
-        })?;
-        self.await_reply(&rx, timeout)?
-            .map_err(ServerError::Persist)
+        self.query(
+            Query::SeekTo {
+                t_ns,
+                include_trace,
+            },
+            timeout,
+        )
+        .map(Reply::into_seek)
     }
 
     /// Rewinds the session's history `entries` trace entries from the
@@ -1259,14 +1273,14 @@ impl SessionHandle {
         include_trace: bool,
         timeout: Duration,
     ) -> Result<SeekReport, ServerError> {
-        let (tx, rx) = mpsc::channel();
-        self.send(SessionCommand::StepBack {
-            entries,
-            include_trace,
-            reply: tx,
-        })?;
-        self.await_reply(&rx, timeout)?
-            .map_err(ServerError::Persist)
+        self.query(
+            Query::StepBack {
+                entries,
+                include_trace,
+            },
+            timeout,
+        )
+        .map(Reply::into_seek)
     }
 
     /// Replays the trace window `[t0_ns, t1_ns]` through
@@ -1285,43 +1299,8 @@ impl SessionHandle {
         t1_ns: u64,
         timeout: Duration,
     ) -> Result<TraceSlice, ServerError> {
-        let (tx, rx) = mpsc::channel();
-        self.send(SessionCommand::ReplayWindow {
-            t0_ns,
-            t1_ns,
-            reply: tx,
-        })?;
-        self.await_reply(&rx, timeout)?
-            .map_err(ServerError::Persist)
-    }
-
-    /// Waits for a mailbox-routed reply, translating a dropped sender
-    /// into the session/server failure that caused it.
-    fn await_reply<T>(&self, rx: &mpsc::Receiver<T>, timeout: Duration) -> Result<T, ServerError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match rx.recv_timeout(POLL) {
-                Ok(reply) => return Ok(reply),
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    // The reply sender was dropped undelivered. Usually
-                    // that means shutdown — but a panicked turn unwinds
-                    // the drained command too; report the session
-                    // failure, not a bogus server death.
-                    if let Some(msg) = &lock(&self.cell.inner).failed {
-                        return Err(ServerError::SessionFailed(msg.clone()));
-                    }
-                    return Err(ServerError::Shutdown);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if self.shared.shutdown.load(Ordering::SeqCst) {
-                        return Err(ServerError::Shutdown);
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(ServerError::Timeout);
-                    }
-                }
-            }
-        }
+        self.query(Query::ReplayWindow { t0_ns, t1_ns }, timeout)
+            .map(Reply::into_trace)
     }
 
     /// Blocks until the session is quiescent: no run budget left, empty
@@ -1339,10 +1318,7 @@ impl SessionHandle {
             if let Some(msg) = &inner.failed {
                 return Err(ServerError::SessionFailed(msg.clone()));
             }
-            let busy = inner.remaining_ns > 0
-                || self.cell.queued.load(Ordering::SeqCst)
-                || !lock(&self.cell.mailbox).is_empty();
-            if !busy {
+            if self.cell.health(&inner) == HealthState::Parked {
                 return Ok(());
             }
             if self.shared.shutdown.load(Ordering::SeqCst) {
@@ -1457,15 +1433,18 @@ fn run_turn(shared: &Shared, cell: &Arc<SessionCell>) {
     // inner → mailbox): `wait_idle` checks "mailbox empty" under the
     // same `inner` lock, so it can never observe the in-between state
     // where commands have left the mailbox but are not yet applied.
-    let commands: Vec<SessionCommand> = {
+    let mail: Vec<Mail> = {
         let mut mailbox = lock(&cell.mailbox);
         mailbox.drain(..).collect()
     };
     if observed {
-        registry.mailbox_depth.sub(commands.len() as u64);
+        registry.mailbox_depth.sub(mail.len() as u64);
     }
-    for command in commands {
-        apply_command(&mut inner, cell.id, command, registry);
+    for item in mail {
+        match item {
+            Mail::Mutate(mutation) => apply_mutation(&mut inner, cell.id, &mutation, registry),
+            Mail::Query(query, reply) => answer(&mut inner, cell.id, query, &reply, registry),
+        }
     }
     let mut pumped = false;
     if inner.failed.is_none() && inner.remaining_ns > 0 {
@@ -1540,193 +1519,145 @@ fn run_turn(shared: &Shared, cell: &Arc<SessionCell>) {
     }
 }
 
-/// Applies one mailed command to the session. Durable sessions journal
-/// state-affecting commands — stamped with the target time at which
-/// they take effect — so a restarted server can replay them at exactly
-/// the same instants. Only *accepted* commands enter the journal: a
-/// rejected one in the replayable history would deterministically
-/// re-fail every subsequent restore of the session.
-fn apply_command(
+/// Applies one mailed mutation to the session. Durable sessions journal
+/// it — stamped with the target time at which it takes effect — so a
+/// restarted server replays it at exactly the same instant. Only
+/// *accepted* mutations enter the journal: a rejected one in the
+/// replayable history would deterministically re-fail every later
+/// restore of the session.
+///
+/// The order is apply, then journal on success. A crash between the two
+/// writes cannot leave the journal behind any durable effect of the
+/// mutation: both happen under the session lock, so no slice can run
+/// (and no trace entry derived from the mutation can reach disk) until
+/// the journal record is written.
+fn apply_mutation(
     inner: &mut SessionInner,
     id: SessionId,
-    command: SessionCommand,
+    mutation: &Mutation,
     registry: &MetricsRegistry,
 ) {
-    // `ScheduleSignal` is the one journaled command the session can
-    // reject (unknown label — a client wiring bug). Validate it by
-    // applying it *before* journaling, and journal only on success.
-    if let SessionCommand::ScheduleSignal {
-        time_ns,
-        ref label,
-        value,
-    } = command
-    {
-        let at_ns = inner.session.now_ns();
-        if let Err(e) = inner.session.schedule_signal(time_ns, label, value) {
-            fail(inner, id, &e.to_string());
-            return;
+    let at_ns = inner.session.now_ns();
+    match inner.session.apply(mutation) {
+        Ok(granted_ns) => {
+            inner.remaining_ns = inner.remaining_ns.saturating_add(granted_ns);
+            journal_mutation(inner, id, at_ns, mutation, registry);
         }
-        journal_command(inner, id, at_ns, &command, registry);
-        return;
+        Err(e) => fail(inner, id, &e.to_string()),
     }
-    // The remaining journaled commands are infallible; journal them
-    // first, so a crash between the two writes leaves the journal
-    // ahead of the session (replay regenerates the effect), never
-    // behind it.
-    if persist::journaled(&command) {
-        let at_ns = inner.session.now_ns();
-        if !journal_command(inner, id, at_ns, &command, registry) {
-            return;
+}
+
+/// Answers one mailed query on `reply`. A live-history read the store
+/// cannot serve (the outer `Err`) fails the session and drops `reply`
+/// unanswered, so the waiting client observes the failure instead of a
+/// silently truncated record. The time-travel trio runs entirely on a
+/// detached replica: a seek failure (the inner `Err` — bad target,
+/// evicted history, damaged checkpoint chain) is the *request's*
+/// failure, sent back on `reply`; it never fails the live session.
+fn answer(
+    inner: &mut SessionInner,
+    id: SessionId,
+    query: Query,
+    reply: &mpsc::Sender<Result<Reply, String>>,
+    registry: &MetricsRegistry,
+) {
+    let trace = inner.session.engine().trace();
+    let outcome: Result<Result<Reply, String>, StoreError> = match query {
+        Query::Snapshot { include_trace } => {
+            snapshot_of(inner, id, include_trace).map(|s| Ok(Reply::Snapshot(s)))
         }
-    }
-    match command {
-        SessionCommand::ScheduleSignal { .. } => {} // applied above
-        SessionCommand::AddBreakpoint { matcher, one_shot } => {
-            inner.session.engine_mut().add_breakpoint(matcher, one_shot);
+        Query::FetchRange { t0_ns, t1_ns } => {
+            read_window(trace, id, t0_ns, t1_ns).map(|page| Ok(Reply::Trace(page)))
         }
-        SessionCommand::ClearBreakpoints => inner.session.engine_mut().clear_breakpoints(),
-        SessionCommand::Step => {
-            inner.session.engine_mut().step();
+        Query::ReplayFrom { seq, limit } => {
+            read_from(trace, id, seq, limit).map(|page| Ok(Reply::Trace(page)))
         }
-        SessionCommand::Resume => {
-            inner.session.engine_mut().resume();
-        }
-        SessionCommand::RunFor { duration_ns } => {
-            inner.remaining_ns = inner.remaining_ns.saturating_add(duration_ns);
-        }
-        SessionCommand::Snapshot {
-            reply,
-            include_trace,
-        } => match snapshot_of(inner, id, include_trace) {
-            Ok(snapshot) => {
-                let _ = reply.send(snapshot); // client may have given up
-            }
-            // Same policy as FetchRange/ReplayFrom: a trace the store
-            // cannot read back must reach the client as a failure, not
-            // as a silently truncated record.
-            Err(e) => fail(inner, id, &format!("trace history read failed: {e}")),
-        },
-        SessionCommand::FetchRange {
-            t0_ns,
-            t1_ns,
-            reply,
-        } => {
-            let read = (|| {
-                let trace = inner.session.engine().trace();
-                let (lo, hi) = trace.window_bounds(t0_ns, t1_ns)?;
-                let end = hi.min(lo.saturating_add(MAX_FETCH_ENTRIES));
-                let entries = read_bounded(trace, lo, end)?;
-                Ok::<_, StoreError>((lo, hi, entries))
-            })();
-            match read {
-                Ok((lo, hi, entries)) => {
-                    let first = entries.first().map_or(lo, |e| e.seq);
-                    let next = entries.last().map_or(first, |e| e.seq + 1);
-                    let _ = reply.send(TraceSlice {
-                        session: id,
-                        first_seq: first,
-                        complete: next >= hi,
-                        entries,
-                        end_seq: hi,
-                    });
-                }
-                // Fail the session and drop the reply unanswered: the
-                // waiting client observes the failure instead of an
-                // empty window falsely marked complete.
-                Err(e) => fail(inner, id, &format!("trace history read failed: {e}")),
-            }
-        }
-        SessionCommand::ReplayFrom { seq, limit, reply } => {
-            let read = (|| {
-                let trace = inner.session.engine().trace();
-                let len = trace.len() as u64;
-                let cap = if limit == 0 {
-                    MAX_FETCH_ENTRIES
-                } else {
-                    limit.min(MAX_FETCH_ENTRIES)
-                };
-                // Clamp the page's low edge to the eviction floor
-                // *before* sizing it: history below the floor is gone
-                // by policy, and a window computed from the raw `seq`
-                // would end below the floor — an empty, incomplete page
-                // whose continuation point never advances.
-                let lo = seq.max(trace.first_retained_seq());
-                let end = len.min(lo.saturating_add(cap));
-                let entries = read_bounded(trace, lo, end)?;
-                Ok::<_, StoreError>((len, lo, entries))
-            })();
-            match read {
-                Ok((len, lo, entries)) => {
-                    // On a retention-evicted store the page may start
-                    // above the requested `seq` (history below the
-                    // eviction floor is gone); `first_seq` reports
-                    // where it actually starts so clients resume from
-                    // `last().seq + 1`, not from arithmetic on `seq`.
-                    let first = entries.first().map_or(lo, |e| e.seq);
-                    let next = entries.last().map_or(first, |e| e.seq + 1);
-                    let _ = reply.send(TraceSlice {
-                        session: id,
-                        first_seq: first,
-                        complete: next >= len,
-                        entries,
-                        end_seq: len,
-                    });
-                }
-                Err(e) => fail(inner, id, &format!("trace history read failed: {e}")),
-            }
-        }
-        // The time-travel trio runs entirely on a detached replica: a
-        // seek failure is the *request's* failure (bad target, evicted
-        // history, damaged checkpoint chain), reported on the reply
-        // channel — it never fails the live session.
-        SessionCommand::SeekTo {
+        Query::SeekTo {
             t_ns,
             include_trace,
-            reply,
         } => {
             let target = t_ns.min(inner.session.now_ns());
-            let _ = reply.send(seek_to_target(inner, id, registry, target, include_trace));
+            Ok(seek_to_target(inner, id, registry, target, include_trace).map(Reply::Seek))
         }
-        SessionCommand::StepBack {
+        Query::StepBack {
             entries,
             include_trace,
-            reply,
-        } => {
-            let result = step_back_target(inner, entries)
-                .and_then(|target| seek_to_target(inner, id, registry, target, include_trace));
-            let _ = reply.send(result);
-        }
-        SessionCommand::ReplayWindow {
-            t0_ns,
-            t1_ns,
-            reply,
-        } => {
+        } => Ok(step_back_target(inner, entries)
+            .and_then(|target| seek_to_target(inner, id, registry, target, include_trace))
+            .map(Reply::Seek)),
+        Query::ReplayWindow { t0_ns, t1_ns } => {
             // The checkpoint must land *strictly before* the window so
             // every in-window entry (time >= t0) is regenerated by the
             // replica rather than assumed persisted: an entry the
             // checkpoint already covers has time <= checkpoint time
             // < t0 and therefore cannot be part of the window.
             let target = t1_ns.min(inner.session.now_ns());
-            let result = seek_replica(inner, registry, t0_ns, true, target).and_then(|replica| {
-                let trace = replica.session.engine().trace();
-                let (lo, hi) = trace
-                    .window_bounds(t0_ns, t1_ns)
-                    .map_err(|e| format!("replica window read failed: {e}"))?;
-                let end = hi.min(lo.saturating_add(MAX_FETCH_ENTRIES));
-                let entries = read_bounded(trace, lo, end)
-                    .map_err(|e| format!("replica window read failed: {e}"))?;
-                let first = entries.first().map_or(lo, |e| e.seq);
-                let next = entries.last().map_or(first, |e| e.seq + 1);
-                Ok(TraceSlice {
-                    session: id,
-                    first_seq: first,
-                    complete: next >= hi,
-                    entries,
-                    end_seq: hi,
-                })
-            });
-            let _ = reply.send(result);
+            Ok(
+                seek_replica(inner, registry, t0_ns, true, target).and_then(|replica| {
+                    read_window(replica.session.engine().trace(), id, t0_ns, t1_ns)
+                        .map(Reply::Trace)
+                        .map_err(|e| format!("replica window read failed: {e}"))
+                }),
+            )
         }
+    };
+    match outcome {
+        Ok(answer) => {
+            let _ = reply.send(answer); // client may have given up
+        }
+        Err(e) => fail(inner, id, &format!("trace history read failed: {e}")),
+    }
+}
+
+/// One page of the entries whose event time falls in `[t0_ns, t1_ns]`.
+fn read_window(
+    trace: &ExecutionTrace,
+    id: SessionId,
+    t0_ns: u64,
+    t1_ns: u64,
+) -> Result<TraceSlice, StoreError> {
+    let (lo, hi) = trace.window_bounds(t0_ns, t1_ns)?;
+    let end = hi.min(lo.saturating_add(MAX_FETCH_ENTRIES));
+    Ok(trace_page(id, lo, hi, read_bounded(trace, lo, end)?))
+}
+
+/// One page of up to `limit` entries (`0` = the server cap) from
+/// sequence number `seq`.
+fn read_from(
+    trace: &ExecutionTrace,
+    id: SessionId,
+    seq: u64,
+    limit: u64,
+) -> Result<TraceSlice, StoreError> {
+    let len = trace.len() as u64;
+    let cap = if limit == 0 {
+        MAX_FETCH_ENTRIES
+    } else {
+        limit.min(MAX_FETCH_ENTRIES)
+    };
+    // Clamp the page's low edge to the eviction floor *before* sizing
+    // it: history below the floor is gone by policy, and a window
+    // computed from the raw `seq` would end below the floor — an empty,
+    // incomplete page whose continuation point never advances.
+    let lo = seq.max(trace.first_retained_seq());
+    let end = len.min(lo.saturating_add(cap));
+    Ok(trace_page(id, lo, len, read_bounded(trace, lo, end)?))
+}
+
+/// Packages one history page ending at `end_seq`. On a
+/// retention-evicted store the page may start above `lo` (history below
+/// the eviction floor is gone); `first_seq` reports where it actually
+/// starts so clients resume from `last().seq + 1`, not from arithmetic
+/// on the request.
+fn trace_page(id: SessionId, lo: u64, end_seq: u64, entries: Vec<TraceEntry>) -> TraceSlice {
+    let first = entries.first().map_or(lo, |e| e.seq);
+    let next = entries.last().map_or(first, |e| e.seq + 1);
+    TraceSlice {
+        session: id,
+        first_seq: first,
+        complete: next >= end_seq,
+        entries,
+        end_seq,
     }
 }
 
@@ -1871,47 +1802,9 @@ fn seek_replica(
         None => (0, 0, None),
     };
     session.resume_trace_store(Box::new(OffsetMemStore::new(base)));
-    // Deterministic replay, mirroring `persist::restore_session`: pump
-    // to each command's application instant, apply it, stop at the
-    // target. `RunFor` only grants budget (the pump below realizes it);
-    // read-only commands are never journaled.
-    let mut replayed_commands: u64 = 0;
-    for record in records.iter().skip(journal_pos as usize) {
-        if record.at_ns > target_ns {
-            break;
-        }
-        let now = session.now_ns();
-        if record.at_ns > now {
-            session
-                .run_for(record.at_ns - now)
-                .map_err(|e| format!("replica replay failed: {e}"))?;
-        }
-        match &record.command {
-            SessionCommand::ScheduleSignal {
-                time_ns,
-                label,
-                value,
-            } => {
-                session
-                    .schedule_signal(*time_ns, label, *value)
-                    .map_err(|e| format!("replica stimulus replay failed: {e}"))?;
-            }
-            SessionCommand::AddBreakpoint { matcher, one_shot } => {
-                session
-                    .engine_mut()
-                    .add_breakpoint(matcher.clone(), *one_shot);
-            }
-            SessionCommand::ClearBreakpoints => session.engine_mut().clear_breakpoints(),
-            SessionCommand::Step => {
-                session.engine_mut().step();
-            }
-            SessionCommand::Resume => {
-                session.engine_mut().resume();
-            }
-            _ => {}
-        }
-        replayed_commands += 1;
-    }
+    let suffix = records.get(journal_pos as usize..).unwrap_or_default();
+    let replayed =
+        persist::replay(&mut session, suffix, target_ns).map_err(|e| format!("replica {e}"))?;
     let now = session.now_ns();
     if target_ns > now {
         session
@@ -1922,7 +1815,7 @@ fn seek_replica(
         session,
         base,
         checkpoint,
-        replayed_commands,
+        replayed_commands: replayed.records,
     })
 }
 
@@ -1978,7 +1871,7 @@ fn replica_trace_json(inner: &SessionInner, replica: &SeekReplica) -> Result<Str
     Ok(ExecutionTrace::with_store(Box::new(MemStore::from_entries(combined))).to_json())
 }
 
-/// Resolves a [`SessionCommand::StepBack`] to the target instant: the
+/// Resolves a [`Query::StepBack`] to the target instant: the
 /// event time of the entry `entries` + 1 positions before the current
 /// end of the trace (so the replica's trace ends `entries` entries
 /// shorter). Stepping over the whole trace lands at time zero.
@@ -2074,24 +1967,23 @@ fn snapshot_of(
     })
 }
 
-/// Journals one *accepted* command on a durable session (no-op for
+/// Journals one *accepted* mutation on a durable session (no-op for
 /// in-memory ones). A journal write failure fails the session — its
 /// durable history could no longer be trusted to match its state.
-/// Returns `false` when the append failed.
-fn journal_command(
+fn journal_mutation(
     inner: &mut SessionInner,
     id: SessionId,
     at_ns: u64,
-    command: &SessionCommand,
+    mutation: &Mutation,
     registry: &MetricsRegistry,
-) -> bool {
+) {
     let result = match inner.journal.as_mut() {
         Some(journal) => {
             // Timed here (not inside `Journal`) so the journal stays a
             // plain file wrapper; the measurement includes the fsync —
             // the dominant cost on a durable session's command path.
             let t0 = registry.enabled().then(Instant::now);
-            let result = journal.append(at_ns, command);
+            let result = journal.append(at_ns, mutation);
             if let Some(t0) = t0 {
                 registry.journal_appends.inc();
                 registry
@@ -2100,14 +1992,12 @@ fn journal_command(
             }
             result
         }
-        None => return true,
+        None => return,
     };
-    if let Err(e) = result {
-        fail(inner, id, &format!("command journal write failed: {e}"));
-        return false;
+    match result {
+        Ok(()) => inner.journal_len += 1,
+        Err(e) => fail(inner, id, &format!("command journal write failed: {e}")),
     }
-    inner.journal_len += 1;
-    true
 }
 
 /// Parks the session as failed and tells subscribers.

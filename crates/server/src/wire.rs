@@ -36,11 +36,13 @@ use crate::metrics::{
 };
 use crate::proto::{
     decode_payload, encode_frame, encode_frame_into, ClientFrame, FrameDecoder, ServerFrame,
+    SessionCommand,
 };
 use crate::queue::{EventReceiver, Notify};
-use crate::server::{lock, DebugServer, SessionCommand, SessionId};
+use crate::server::{lock, DebugServer, Query, Reply, SessionId};
 use crate::EngineEvent;
 use crate::SessionSnapshot;
+use gmdf::Mutation;
 use gmdf_analyze::AnalysisReport;
 use serde::Serialize;
 use std::collections::BTreeSet;
@@ -58,9 +60,9 @@ use std::time::{Duration, Instant};
 /// immediately through its [`Notify`] flag.
 const POLL: Duration = Duration::from_millis(20);
 
-/// How long the server waits on a session snapshot before reporting an
-/// error frame to the client.
-const SNAPSHOT_WAIT: Duration = Duration::from_secs(30);
+/// How long the server waits on a session's answer to a query before
+/// reporting an error frame to the client.
+const QUERY_WAIT: Duration = Duration::from_secs(30);
 
 /// Default client-side wait for a command reply.
 const REPLY_WAIT: Duration = Duration::from_secs(30);
@@ -710,8 +712,8 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
                     // the ack and the subscription can be missed
                     // (the streamer may interleave an event ahead of
                     // the ack; the client buffers it).
-                    let receiver =
-                        handle.subscribe_wire(capacity.map(|c| c as usize), Arc::clone(&notify));
+                    let receiver = handle
+                        .subscribe_queue(capacity.map(|c| c as usize), Some(Arc::clone(&notify)));
                     let _ = ops_tx.send(StreamOp::Attach(receiver));
                     notify.notify();
                     reply(ServerFrame::Ack { seq });
@@ -746,91 +748,18 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
                     });
                     continue;
                 };
-                match command {
-                    SessionCommand::Snapshot { include_trace, .. } => {
-                        // Re-wire the reply channel (the deserialized
-                        // one is a dangling stand-in) by issuing the
-                        // snapshot through the handle.
-                        let result = if include_trace {
-                            handle.snapshot(SNAPSHOT_WAIT)
-                        } else {
-                            handle.stats(SNAPSHOT_WAIT)
-                        };
-                        match result {
-                            Ok(snapshot) => reply(ServerFrame::Snapshot { seq, snapshot }),
-                            Err(e) => reply(ServerFrame::Error {
-                                seq: Some(seq),
-                                message: e.to_string(),
-                            }),
-                        }
+                let answer = match command {
+                    SessionCommand::Mutate(mutation) => {
+                        handle.send(mutation).map(|()| ServerFrame::Ack { seq })
                     }
-                    // History pages get the same reply re-wiring as
-                    // snapshots: the handle installs a live channel.
-                    SessionCommand::FetchRange { t0_ns, t1_ns, .. } => {
-                        match handle.fetch_range(t0_ns, t1_ns, SNAPSHOT_WAIT) {
-                            Ok(slice) => reply(ServerFrame::Trace { seq, slice }),
-                            Err(e) => reply(ServerFrame::Error {
-                                seq: Some(seq),
-                                message: e.to_string(),
-                            }),
-                        }
-                    }
-                    SessionCommand::ReplayFrom {
-                        seq: from, limit, ..
-                    } => match handle.replay_from(from, limit, SNAPSHOT_WAIT) {
-                        Ok(slice) => reply(ServerFrame::Trace { seq, slice }),
-                        Err(e) => reply(ServerFrame::Error {
-                            seq: Some(seq),
-                            message: e.to_string(),
-                        }),
-                    },
-                    SessionCommand::SeekTo {
-                        t_ns,
-                        include_trace,
-                        ..
-                    } => match handle.seek_to(t_ns, include_trace, SNAPSHOT_WAIT) {
-                        Ok(report) => reply(ServerFrame::Seek {
-                            seq,
-                            report: Box::new(report),
-                        }),
-                        Err(e) => reply(ServerFrame::Error {
-                            seq: Some(seq),
-                            message: e.to_string(),
-                        }),
-                    },
-                    SessionCommand::StepBack {
-                        entries,
-                        include_trace,
-                        ..
-                    } => match handle.step_back(entries, include_trace, SNAPSHOT_WAIT) {
-                        Ok(report) => reply(ServerFrame::Seek {
-                            seq,
-                            report: Box::new(report),
-                        }),
-                        Err(e) => reply(ServerFrame::Error {
-                            seq: Some(seq),
-                            message: e.to_string(),
-                        }),
-                    },
-                    // A replayed window is served like the other
-                    // history pages: one Trace frame.
-                    SessionCommand::ReplayWindow { t0_ns, t1_ns, .. } => {
-                        match handle.replay_window(t0_ns, t1_ns, SNAPSHOT_WAIT) {
-                            Ok(slice) => reply(ServerFrame::Trace { seq, slice }),
-                            Err(e) => reply(ServerFrame::Error {
-                                seq: Some(seq),
-                                message: e.to_string(),
-                            }),
-                        }
-                    }
-                    other => match handle.send(other) {
-                        Ok(()) => reply(ServerFrame::Ack { seq }),
-                        Err(e) => reply(ServerFrame::Error {
-                            seq: Some(seq),
-                            message: e.to_string(),
-                        }),
-                    },
-                }
+                    SessionCommand::Query(query) => handle
+                        .query(query, QUERY_WAIT)
+                        .map(|reply| reply_frame(seq, reply)),
+                };
+                reply(answer.unwrap_or_else(|e| ServerFrame::Error {
+                    seq: Some(seq),
+                    message: e.to_string(),
+                }));
             }
             ReadOutcome::Malformed(e) => {
                 // Written before `closed` is set, so the diagnostic
@@ -848,6 +777,18 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
     notify.notify();
     drop(ops_tx);
     let _ = streamer.join();
+}
+
+/// The wire frame answering request `seq` with a query's reply.
+fn reply_frame(seq: u64, reply: Reply) -> ServerFrame {
+    match reply {
+        Reply::Snapshot(snapshot) => ServerFrame::Snapshot { seq, snapshot },
+        Reply::Trace(slice) => ServerFrame::Trace { seq, slice },
+        Reply::Seek(report) => ServerFrame::Seek {
+            seq,
+            report: Box::new(report),
+        },
+    }
 }
 
 /// The per-connection event streamer — **one** thread no matter how
@@ -1210,22 +1151,32 @@ impl WireClient {
         Ok(())
     }
 
-    /// Sends one command to `session` and waits for the acknowledgment
-    /// — valid without an attach. Use [`WireClient::snapshot`] for
-    /// [`SessionCommand::Snapshot`] (it has a dedicated reply).
+    /// Sends one [`Mutation`] to `session` and waits for the
+    /// acknowledgment — valid without an attach.
     ///
     /// # Errors
     ///
     /// [`WireError::Remote`] when the server rejects the command,
     /// transport errors otherwise.
-    pub fn send(&mut self, session: SessionId, command: SessionCommand) -> Result<(), WireError> {
+    pub fn send(&mut self, session: SessionId, mutation: Mutation) -> Result<(), WireError> {
+        let seq = self.command(session, SessionCommand::Mutate(mutation))?;
+        self.wait_ack(seq)
+    }
+
+    /// Writes one `Command` frame and returns its request id.
+    fn command(&mut self, session: SessionId, command: SessionCommand) -> Result<u64, WireError> {
         let seq = self.next_seq();
         self.write(&ClientFrame::Command {
             seq,
             session,
             command,
         })?;
-        self.wait_ack(seq)
+        Ok(seq)
+    }
+
+    /// Writes one query's `Command` frame and returns its request id.
+    fn query(&mut self, session: SessionId, query: Query) -> Result<u64, WireError> {
+        self.command(session, SessionCommand::Query(query))
     }
 
     /// Requests a snapshot of `session` (with the serialized trace when
@@ -1241,16 +1192,7 @@ impl WireClient {
         include_trace: bool,
         timeout: Duration,
     ) -> Result<SessionSnapshot, WireError> {
-        let (reply, _) = mpsc::channel();
-        let seq = self.next_seq();
-        self.write(&ClientFrame::Command {
-            seq,
-            session,
-            command: SessionCommand::Snapshot {
-                reply,
-                include_trace,
-            },
-        })?;
+        let seq = self.query(session, Query::Snapshot { include_trace })?;
         self.wait_reply(seq, timeout, "Snapshot", move |frame| match frame {
             ServerFrame::Snapshot { seq: s, snapshot } if s == seq => Ok(snapshot),
             other => Err(other),
@@ -1272,17 +1214,7 @@ impl WireClient {
         t1_ns: u64,
         timeout: Duration,
     ) -> Result<crate::TraceSlice, WireError> {
-        let (reply, _) = mpsc::channel();
-        let seq = self.next_seq();
-        self.write(&ClientFrame::Command {
-            seq,
-            session,
-            command: SessionCommand::FetchRange {
-                t0_ns,
-                t1_ns,
-                reply,
-            },
-        })?;
+        let seq = self.query(session, Query::FetchRange { t0_ns, t1_ns })?;
         self.wait_trace(seq, timeout)
     }
 
@@ -1301,13 +1233,7 @@ impl WireClient {
         limit: u64,
         timeout: Duration,
     ) -> Result<crate::TraceSlice, WireError> {
-        let (reply, _) = mpsc::channel();
-        let request = self.next_seq();
-        self.write(&ClientFrame::Command {
-            seq: request,
-            session,
-            command: SessionCommand::ReplayFrom { seq, limit, reply },
-        })?;
+        let request = self.query(session, Query::ReplayFrom { seq, limit })?;
         self.wait_trace(request, timeout)
     }
 
@@ -1329,17 +1255,11 @@ impl WireClient {
         include_trace: bool,
         timeout: Duration,
     ) -> Result<crate::SeekReport, WireError> {
-        let (reply, _) = mpsc::channel();
-        let seq = self.next_seq();
-        self.write(&ClientFrame::Command {
-            seq,
-            session,
-            command: SessionCommand::SeekTo {
-                t_ns,
-                include_trace,
-                reply,
-            },
-        })?;
+        let query = Query::SeekTo {
+            t_ns,
+            include_trace,
+        };
+        let seq = self.query(session, query)?;
         self.wait_seek(seq, timeout)
     }
 
@@ -1357,17 +1277,11 @@ impl WireClient {
         include_trace: bool,
         timeout: Duration,
     ) -> Result<crate::SeekReport, WireError> {
-        let (reply, _) = mpsc::channel();
-        let seq = self.next_seq();
-        self.write(&ClientFrame::Command {
-            seq,
-            session,
-            command: SessionCommand::StepBack {
-                entries,
-                include_trace,
-                reply,
-            },
-        })?;
+        let query = Query::StepBack {
+            entries,
+            include_trace,
+        };
+        let seq = self.query(session, query)?;
         self.wait_seek(seq, timeout)
     }
 
@@ -1387,17 +1301,7 @@ impl WireClient {
         t1_ns: u64,
         timeout: Duration,
     ) -> Result<crate::TraceSlice, WireError> {
-        let (reply, _) = mpsc::channel();
-        let seq = self.next_seq();
-        self.write(&ClientFrame::Command {
-            seq,
-            session,
-            command: SessionCommand::ReplayWindow {
-                t0_ns,
-                t1_ns,
-                reply,
-            },
-        })?;
+        let seq = self.query(session, Query::ReplayWindow { t0_ns, t1_ns })?;
         self.wait_trace(seq, timeout)
     }
 
@@ -1582,16 +1486,16 @@ impl WireClient {
         }
     }
 
-    /// Convenience: [`SessionCommand::RunFor`].
+    /// Convenience: [`Mutation::RunFor`].
     ///
     /// # Errors
     ///
     /// See [`WireClient::send`].
     pub fn run_for(&mut self, session: SessionId, duration_ns: u64) -> Result<(), WireError> {
-        self.send(session, SessionCommand::RunFor { duration_ns })
+        self.send(session, Mutation::RunFor { duration_ns })
     }
 
-    /// Convenience: [`SessionCommand::ScheduleSignal`].
+    /// Convenience: [`Mutation::ScheduleSignal`].
     ///
     /// # Errors
     ///
@@ -1605,7 +1509,7 @@ impl WireClient {
     ) -> Result<(), WireError> {
         self.send(
             session,
-            SessionCommand::ScheduleSignal {
+            Mutation::ScheduleSignal {
                 time_ns,
                 label: label.to_owned(),
                 value,
@@ -1613,7 +1517,7 @@ impl WireClient {
         )
     }
 
-    /// Convenience: [`SessionCommand::AddBreakpoint`].
+    /// Convenience: [`Mutation::AddBreakpoint`].
     ///
     /// # Errors
     ///
@@ -1624,34 +1528,34 @@ impl WireClient {
         matcher: gmdf_gdm::CommandMatcher,
         one_shot: bool,
     ) -> Result<(), WireError> {
-        self.send(session, SessionCommand::AddBreakpoint { matcher, one_shot })
+        self.send(session, Mutation::AddBreakpoint { matcher, one_shot })
     }
 
-    /// Convenience: [`SessionCommand::Step`].
+    /// Convenience: [`Mutation::Step`].
     ///
     /// # Errors
     ///
     /// See [`WireClient::send`].
     pub fn step(&mut self, session: SessionId) -> Result<(), WireError> {
-        self.send(session, SessionCommand::Step)
+        self.send(session, Mutation::Step)
     }
 
-    /// Convenience: [`SessionCommand::Resume`].
+    /// Convenience: [`Mutation::Resume`].
     ///
     /// # Errors
     ///
     /// See [`WireClient::send`].
     pub fn resume(&mut self, session: SessionId) -> Result<(), WireError> {
-        self.send(session, SessionCommand::Resume)
+        self.send(session, Mutation::Resume)
     }
 
-    /// Convenience: [`SessionCommand::ClearBreakpoints`].
+    /// Convenience: [`Mutation::ClearBreakpoints`].
     ///
     /// # Errors
     ///
     /// See [`WireClient::send`].
     pub fn clear_breakpoints(&mut self, session: SessionId) -> Result<(), WireError> {
-        self.send(session, SessionCommand::ClearBreakpoints)
+        self.send(session, Mutation::ClearBreakpoints)
     }
 
     fn write<T: Serialize>(&mut self, frame: &T) -> Result<(), WireError> {

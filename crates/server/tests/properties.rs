@@ -15,9 +15,8 @@ use gmdf::ActiveChannel;
 use gmdf_codegen::{CommandKind, DebugInfo, EventSpec, Frame};
 use gmdf_comdes::SignalValue;
 use gmdf_gdm::{CommandMatcher, EventKind};
-use gmdf_server::{DebugServer, EngineEvent, ServerConfig, SessionCommand};
+use gmdf_server::{DebugServer, EngineEvent, Mutation, ServerConfig};
 use proptest::prelude::*;
-use std::sync::mpsc;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -131,21 +130,21 @@ proptest! {
 
 /// The command alphabet for mailbox interleavings (durations kept small
 /// so each case stays fast).
-fn arb_command() -> impl Strategy<Value = SessionCommand> {
+fn arb_command() -> impl Strategy<Value = Mutation> {
     prop_oneof![
-        (1u64..2_000_000).prop_map(|duration_ns| SessionCommand::RunFor { duration_ns }),
-        Just(SessionCommand::AddBreakpoint {
+        (1u64..2_000_000).prop_map(|duration_ns| Mutation::RunFor { duration_ns }),
+        Just(Mutation::AddBreakpoint {
             matcher: CommandMatcher::kind(EventKind::StateEnter),
             one_shot: false,
         }),
-        Just(SessionCommand::AddBreakpoint {
+        Just(Mutation::AddBreakpoint {
             matcher: CommandMatcher::kind(EventKind::StateEnter),
             one_shot: true,
         }),
-        Just(SessionCommand::ClearBreakpoints),
-        Just(SessionCommand::Step),
-        Just(SessionCommand::Resume),
-        (0u64..10_000_000).prop_map(|t| SessionCommand::ScheduleSignal {
+        Just(Mutation::ClearBreakpoints),
+        Just(Mutation::Step),
+        Just(Mutation::Resume),
+        (0u64..10_000_000).prop_map(|t| Mutation::ScheduleSignal {
             time_ns: t,
             label: "lamp".into(),
             value: SignalValue::Bool(true),
@@ -172,16 +171,11 @@ proptest! {
         let handle = server.add_session(active_session(blinker_system("prop", 0.002, 1_000_000)));
         let events = handle.subscribe();
         // A snapshot request sprinkled mid-script must also be serviced.
-        let (snap_tx, snap_rx) = mpsc::channel();
+        let mut mid_snapshot = None;
         let mid = script.len() / 2;
         for (i, command) in script.into_iter().enumerate() {
             if i == mid {
-                handle
-                    .send(SessionCommand::Snapshot {
-                        reply: snap_tx.clone(),
-                        include_trace: false,
-                    })
-                    .unwrap();
+                mid_snapshot = Some(handle.stats(WAIT));
             }
             handle.send(command).unwrap();
         }
@@ -193,7 +187,7 @@ proptest! {
         prop_assert_eq!(snapshot.remaining_ns, 0);
         prop_assert_eq!(snapshot.pending, 0);
         // The mid-script snapshot arrived.
-        prop_assert!(snap_rx.recv_timeout(WAIT).is_ok());
+        prop_assert!(matches!(mid_snapshot, Some(Ok(_))));
         // Broadcast deltas: dense seq, no drops, no duplicates.
         let mut expected_seq = 0u64;
         for event in events.try_iter() {

@@ -31,12 +31,12 @@ use gmdf_server::proto::{
     decode_payload, encode_frame, ClientFrame, FrameDecoder, ServerFrame, WIRE_VERSION,
 };
 use gmdf_server::{
-    DebugServer, EngineEvent, HealthState, ServerConfig, SessionCommand, SessionInfo, WireClient,
-    WireError, WireServer,
+    DebugServer, EngineEvent, HealthState, MetricsSnapshot, Mutation, Query, ServerConfig,
+    SessionCommand, SessionInfo, WireClient, WireError, WireServer,
 };
 use proptest::prelude::*;
 use std::io::{Read, Write};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(60);
@@ -48,8 +48,9 @@ fn wired_server(config: ServerConfig) -> (Arc<DebugServer>, WireServer) {
     (server, wire)
 }
 
-/// JSON text of a frame — the canonical comparison form (commands have
-/// no `PartialEq`; events get the same treatment for symmetry).
+/// JSON text of a value — the form the wire carries, so byte-identity
+/// checks (server frames, event streams, reports) compare it rather
+/// than the decoded values. Client frames are compared by value.
 fn json_of<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string(value).expect("serializes")
 }
@@ -58,9 +59,9 @@ fn json_of<T: serde::Serialize>(value: &T) -> String {
 // Codec properties
 // ---------------------------------------------------------------------------
 
-fn arb_command() -> impl Strategy<Value = SessionCommand> {
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
     prop_oneof![
-        (0u64..u64::MAX / 2, any::<bool>()).prop_map(|(t, b)| SessionCommand::ScheduleSignal {
+        (0u64..u64::MAX / 2, any::<bool>()).prop_map(|(t, b)| Mutation::ScheduleSignal {
             time_ns: t,
             label: format!("sig{}", t % 7),
             value: if b {
@@ -69,33 +70,39 @@ fn arb_command() -> impl Strategy<Value = SessionCommand> {
                 SignalValue::Real(t as f64 * 0.125)
             },
         }),
-        any::<bool>().prop_map(|one_shot| SessionCommand::AddBreakpoint {
+        any::<bool>().prop_map(|one_shot| Mutation::AddBreakpoint {
             matcher: CommandMatcher::kind(EventKind::StateEnter).under("A/fsm"),
             one_shot,
         }),
-        Just(SessionCommand::ClearBreakpoints),
-        Just(SessionCommand::Step),
-        Just(SessionCommand::Resume),
-        (1u64..u64::MAX / 2).prop_map(|duration_ns| SessionCommand::RunFor { duration_ns }),
-        any::<bool>().prop_map(|include_trace| {
-            let (reply, _) = mpsc::channel();
-            SessionCommand::Snapshot {
-                reply,
-                include_trace,
-            }
+        Just(Mutation::ClearBreakpoints),
+        Just(Mutation::Step),
+        Just(Mutation::Resume),
+        (1u64..u64::MAX / 2).prop_map(|duration_ns| Mutation::RunFor { duration_ns }),
+    ]
+}
+
+fn arb_query() -> impl Strategy<Value = Query> {
+    prop_oneof![
+        any::<bool>().prop_map(|include_trace| Query::Snapshot { include_trace }),
+        (any::<u64>(), any::<u64>()).prop_map(|(t0_ns, t1_ns)| Query::FetchRange { t0_ns, t1_ns }),
+        (any::<u64>(), 0u64..8192).prop_map(|(seq, limit)| Query::ReplayFrom { seq, limit }),
+        (any::<u64>(), any::<bool>()).prop_map(|(t_ns, include_trace)| Query::SeekTo {
+            t_ns,
+            include_trace,
         }),
-        (any::<u64>(), any::<u64>()).prop_map(|(t0_ns, t1_ns)| {
-            let (reply, _) = mpsc::channel();
-            SessionCommand::FetchRange {
-                t0_ns,
-                t1_ns,
-                reply,
-            }
+        (any::<u64>(), any::<bool>()).prop_map(|(entries, include_trace)| Query::StepBack {
+            entries,
+            include_trace,
         }),
-        (any::<u64>(), 0u64..8192).prop_map(|(seq, limit)| {
-            let (reply, _) = mpsc::channel();
-            SessionCommand::ReplayFrom { seq, limit, reply }
-        }),
+        (any::<u64>(), any::<u64>())
+            .prop_map(|(t0_ns, t1_ns)| Query::ReplayWindow { t0_ns, t1_ns }),
+    ]
+}
+
+fn arb_command() -> impl Strategy<Value = SessionCommand> {
+    prop_oneof![
+        arb_mutation().prop_map(SessionCommand::Mutate),
+        arb_query().prop_map(SessionCommand::Query),
     ]
 }
 
@@ -177,6 +184,28 @@ fn arb_event() -> impl Strategy<Value = EngineEvent> {
         (any::<u64>(), 1u64..u64::MAX)
             .prop_map(|(session, dropped)| EngineEvent::Lagged { session, dropped }),
     ]
+}
+
+fn engine_state(paused: bool) -> gmdf_engine::EngineState {
+    if paused {
+        gmdf_engine::EngineState::Paused
+    } else {
+        gmdf_engine::EngineState::Waiting
+    }
+}
+
+/// A real fleet snapshot (one idle session) as the base of generated
+/// `Metrics` frames — built once, far too wide to write out by hand.
+fn idle_metrics() -> &'static MetricsSnapshot {
+    static SNAPSHOT: OnceLock<MetricsSnapshot> = OnceLock::new();
+    SNAPSHOT.get_or_init(|| {
+        let server = DebugServer::start(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        server.add_session(active_session(blinker_system("metrics", 0.002, 1_000_000)));
+        server.metrics_snapshot()
+    })
 }
 
 fn arb_server_frame() -> impl Strategy<Value = ServerFrame> {
@@ -264,6 +293,56 @@ fn arb_server_frame() -> impl Strategy<Value = ServerFrame> {
                 }),
             }
         }),
+        (any::<u64>(), any::<u64>(), any::<bool>()).prop_map(|(seq, n, paused)| {
+            ServerFrame::Snapshot {
+                seq,
+                snapshot: gmdf_server::SessionSnapshot {
+                    session: seq % 64,
+                    now_ns: n,
+                    engine_state: engine_state(paused),
+                    pending: (n % 9) as usize,
+                    trace_len: (n % 1000) as usize,
+                    trace_json: paused.then(|| "[{\"seq\":0}]".to_owned()),
+                    events_fed: n / 3,
+                    violations: n % 5,
+                    breakpoint_hits: n % 7,
+                    lagged_drops: n % 11,
+                    remaining_ns: n / 2,
+                },
+            }
+        }),
+        (any::<u64>(), any::<u64>(), any::<bool>()).prop_map(|(seq, t, from_checkpoint)| {
+            ServerFrame::Seek {
+                seq,
+                report: Box::new(gmdf_server::SeekReport {
+                    session: seq % 64,
+                    target_ns: t,
+                    now_ns: t,
+                    checkpoint_seq: from_checkpoint.then_some(t % 4096),
+                    checkpoint_t_ns: from_checkpoint.then_some(t / 2),
+                    replayed_commands: t % 13,
+                    replayed_entries: t % 4096,
+                    trace_len: t % 100_000,
+                    engine_state: engine_state(from_checkpoint),
+                    trace_json: (!from_checkpoint).then(|| "[]".to_owned()),
+                }),
+            }
+        }),
+        (any::<u64>(), any::<u64>(), any::<bool>()).prop_map(|(seq, n, quarantined)| {
+            let mut snapshot = idle_metrics().clone();
+            snapshot.fleet.events_fed = n;
+            snapshot.fleet.recent_events_per_sec = (n % 1000) as f64 * 0.5;
+            if quarantined {
+                snapshot.quarantined.push(gmdf_server::QuarantinedSession {
+                    session: n % 64,
+                    reason: "corrupt spec.json: \"quoted\"".to_owned(),
+                });
+            }
+            ServerFrame::Metrics {
+                seq,
+                snapshot: Box::new(snapshot),
+            }
+        }),
         proptest::option::of(any::<u64>()).prop_map(|seq| ServerFrame::Error {
             seq,
             message: "unknown session 9".to_owned(),
@@ -300,7 +379,7 @@ proptest! {
 
     /// Client frames survive encode → arbitrary re-chunking → decode:
     /// the deframer completes frames that straddle any read boundary,
-    /// and the decoded command serializes back to the same JSON.
+    /// and every decoded frame equals the one sent.
     #[test]
     fn client_frames_roundtrip_over_any_chunking(
         frames in proptest::collection::vec(arb_client_frame(), 1..8),
@@ -323,10 +402,7 @@ proptest! {
             k += 1;
         }
         prop_assert_eq!(decoder.buffered(), 0);
-        prop_assert_eq!(got.len(), frames.len());
-        for (sent, received) in frames.iter().zip(&got) {
-            prop_assert_eq!(json_of(sent), json_of(received));
-        }
+        prop_assert_eq!(got, frames);
     }
 
     /// Server frames — including every `EngineEvent` variant — survive
@@ -450,6 +526,49 @@ fn command_frames_match_the_golden_bytes() {
     refused(client.replay_window(0, 70, 80, WAIT).map(drop));
     let captured = capture.join().expect("capture thread");
     assert_eq!(captured, GOLDEN_COMMAND_FRAMES);
+}
+
+/// Every complete `C:`/`S:` transcript line in the README is a real
+/// frame: it decodes, re-encodes byte for byte, and every handshake in
+/// it speaks the current `WIRE_VERSION`. Only lines elided with `...`
+/// are skipped.
+#[test]
+fn readme_transcripts_are_golden_frames() {
+    let readme = include_str!("../../../README.md");
+    let mut checked = 0;
+    for line in readme.lines() {
+        let (from_client, payload) = match line.split_once(": ") {
+            Some(("C", payload)) => (true, payload),
+            Some(("S", payload)) => (false, payload),
+            _ => continue,
+        };
+        if payload.contains("...") {
+            continue;
+        }
+        let (reencoded, version) = if from_client {
+            let frame: ClientFrame = decode_payload(payload.as_bytes())
+                .unwrap_or_else(|e| panic!("README frame does not decode ({e}): {line}"));
+            let version = match &frame {
+                ClientFrame::Hello { version, .. } => Some(*version),
+                _ => None,
+            };
+            (json_of(&frame), version)
+        } else {
+            let frame: ServerFrame = decode_payload(payload.as_bytes())
+                .unwrap_or_else(|e| panic!("README frame does not decode ({e}): {line}"));
+            let version = match &frame {
+                ServerFrame::HelloAck { version, .. } => Some(*version),
+                _ => None,
+            };
+            (json_of(&frame), version)
+        };
+        assert_eq!(reencoded, payload, "README frame is not canonical");
+        if let Some(version) = version {
+            assert_eq!(version, WIRE_VERSION, "stale handshake: {line}");
+        }
+        checked += 1;
+    }
+    assert!(checked >= 20, "only {checked} README frames were checked");
 }
 
 #[test]
