@@ -403,14 +403,30 @@ impl DebugSession {
         Ok(())
     }
 
+    /// Checks, without changing anything, whether
+    /// [`DebugSession::apply`] would accept `mutation`: `apply` fails
+    /// exactly when this does, so a caller can record the mutation
+    /// durably between the two calls.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownLabel`] for a stimulus on a label the
+    /// target does not have.
+    pub fn check(&self, mutation: &Mutation) -> Result<(), SessionError> {
+        if let Mutation::ScheduleSignal { label, .. } = mutation {
+            self.sim.check_label(label)?;
+        }
+        Ok(())
+    }
+
     /// Applies one [`Mutation`] and returns the run budget it grants,
     /// in nanoseconds: `duration_ns` for [`Mutation::RunFor`], zero for
     /// everything else.
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError::UnknownLabel`] from a stimulus on a label
-    /// the target does not have; the session is unchanged then.
+    /// Fails exactly when [`DebugSession::check`] does; the session is
+    /// unchanged then.
     pub fn apply(&mut self, mutation: &Mutation) -> Result<u64, SessionError> {
         match mutation {
             Mutation::ScheduleSignal {

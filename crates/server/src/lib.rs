@@ -102,6 +102,11 @@ mod queue;
 mod server;
 mod wire;
 
+/// The integration suites' test systems, shared with the unit tests.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_systems;
+
 pub use event::{EngineEvent, SeekReport, SessionSnapshot, TraceSlice};
 // The mutation vocabulary is defined next to the session it applies
 // to; re-exported so wire clients need only `gmdf_server`.

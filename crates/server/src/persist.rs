@@ -73,6 +73,15 @@ impl Journal {
         self.file.write_all(&record)?;
         self.file.sync_data()
     }
+
+    /// A journal over a read-only handle of `path`, so every append
+    /// fails — for testing how the server handles a journal write error.
+    #[cfg(test)]
+    pub fn failing(path: &Path) -> std::io::Result<Self> {
+        Ok(Journal {
+            file: File::open(path)?,
+        })
+    }
 }
 
 /// Directory of one session's persisted state.

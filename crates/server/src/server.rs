@@ -1521,28 +1521,32 @@ fn run_turn(shared: &Shared, cell: &Arc<SessionCell>) {
 
 /// Applies one mailed mutation to the session. Durable sessions journal
 /// it — stamped with the target time at which it takes effect — so a
-/// restarted server replays it at exactly the same instant. Only
-/// *accepted* mutations enter the journal: a rejected one in the
-/// replayable history would deterministically re-fail every later
-/// restore of the session.
+/// restarted server replays it at exactly the same instant.
 ///
-/// The order is apply, then journal on success. A crash between the two
-/// writes cannot leave the journal behind any durable effect of the
-/// mutation: both happen under the session lock, so no slice can run
-/// (and no trace entry derived from the mutation can reach disk) until
-/// the journal record is written.
+/// The journal write comes first. `Step` and `Resume` drain queued
+/// commands into the trace store as they apply, so applying first would
+/// let a crash or a failed journal write leave trace entries on disk
+/// for a mutation the journal never recorded. Journaling first leaves
+/// the journal at worst ahead of the session, and replay regenerates
+/// the effect. Only mutations the session accepts may enter the journal
+/// (a rejected one in the replayable history would re-fail every later
+/// restore), so the read-only `check` runs before the write.
 fn apply_mutation(
     inner: &mut SessionInner,
     id: SessionId,
     mutation: &Mutation,
     registry: &MetricsRegistry,
 ) {
+    if let Err(e) = inner.session.check(mutation) {
+        fail(inner, id, &e.to_string());
+        return;
+    }
     let at_ns = inner.session.now_ns();
+    if !journal_mutation(inner, id, at_ns, mutation, registry) {
+        return;
+    }
     match inner.session.apply(mutation) {
-        Ok(granted_ns) => {
-            inner.remaining_ns = inner.remaining_ns.saturating_add(granted_ns);
-            journal_mutation(inner, id, at_ns, mutation, registry);
-        }
+        Ok(granted_ns) => inner.remaining_ns = inner.remaining_ns.saturating_add(granted_ns),
         Err(e) => fail(inner, id, &e.to_string()),
     }
 }
@@ -1970,13 +1974,14 @@ fn snapshot_of(
 /// Journals one *accepted* mutation on a durable session (no-op for
 /// in-memory ones). A journal write failure fails the session — its
 /// durable history could no longer be trusted to match its state.
+/// Returns `false` when the append failed.
 fn journal_mutation(
     inner: &mut SessionInner,
     id: SessionId,
     at_ns: u64,
     mutation: &Mutation,
     registry: &MetricsRegistry,
-) {
+) -> bool {
     let result = match inner.journal.as_mut() {
         Some(journal) => {
             // Timed here (not inside `Journal`) so the journal stays a
@@ -1992,12 +1997,14 @@ fn journal_mutation(
             }
             result
         }
-        None => return,
+        None => return true,
     };
-    match result {
-        Ok(()) => inner.journal_len += 1,
-        Err(e) => fail(inner, id, &format!("command journal write failed: {e}")),
+    if let Err(e) = result {
+        fail(inner, id, &format!("command journal write failed: {e}"));
+        return false;
     }
+    inner.journal_len += 1;
+    true
 }
 
 /// Parks the session as failed and tells subscribers.
@@ -2129,5 +2136,103 @@ fn broadcast(inner: &mut SessionInner, event: EngineEvent) {
                 });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_systems::blinker_system;
+    use crate::PersistConfig;
+    use gmdf::{ChannelMode, Workflow};
+    use gmdf_codegen::{CompileOptions, InstrumentOptions};
+    use gmdf_engine::EngineState;
+    use gmdf_gdm::EventKind;
+    use gmdf_target::SimConfig;
+
+    const WAIT: Duration = Duration::from_secs(120);
+
+    /// A journal write that fails on a `Resume` of a paused durable
+    /// session must leave nothing durable ahead of the journal: the
+    /// session fails with the mutation unapplied, so a restart restores
+    /// exactly the journaled history (still paused, no trace entries
+    /// drained by the lost `Resume`) and then continues like an
+    /// in-memory run of that history.
+    #[test]
+    fn failed_journal_write_leaves_nothing_ahead_of_the_journal() {
+        let spec = Workflow::from_system(blinker_system("journal-fail", 0.0005, 500_000))
+            .expect("valid system")
+            .default_abstraction()
+            .default_commands()
+            .into_spec(
+                ChannelMode::Active,
+                CompileOptions {
+                    instrument: InstrumentOptions::behavior(),
+                    faults: vec![],
+                },
+                SimConfig::default(),
+            );
+        let config = || ServerConfig {
+            workers: 1,
+            slice_ns: 500_000,
+            ..ServerConfig::default()
+        };
+        // Pauses at a breakpoint with commands queued behind it.
+        let journaled_history = |handle: &SessionHandle| {
+            handle
+                .add_breakpoint(CommandMatcher::kind(EventKind::StateEnter), true)
+                .expect("send");
+            handle.run_for(3_000_000).expect("send");
+            handle.wait_idle(WAIT).expect("idle");
+        };
+
+        let reference = DebugServer::start(config());
+        let ref_handle = reference.add_session(spec.build().expect("builds"));
+        journaled_history(&ref_handle);
+        let expected = ref_handle.snapshot(WAIT).expect("snapshot");
+        assert_eq!(expected.engine_state, EngineState::Paused);
+        assert!(expected.pending > 0, "the Resume has commands to drain");
+
+        let root = std::env::temp_dir().join(format!("gmdf-journal-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let id = {
+            let server = DebugServer::start_persistent(config(), PersistConfig::new(&root))
+                .expect("persistent server boots");
+            let handle = server.add_durable_session(&spec).expect("durable session");
+            journaled_history(&handle);
+            let journal = persist::session_dir(&root, handle.id()).join("journal.log");
+            lock(&handle.cell.inner).journal =
+                Some(persist::Journal::failing(&journal).expect("open journal"));
+            handle.resume().expect("send");
+            match handle.wait_idle(WAIT) {
+                Err(ServerError::SessionFailed(_)) => {}
+                other => panic!("expected SessionFailed, got {other:?}"),
+            }
+            handle.id()
+        };
+
+        let server =
+            DebugServer::start_persistent(config(), PersistConfig::new(&root)).expect("restart");
+        let handle = server.handle(id).expect("restored handle");
+        handle.wait_idle(WAIT).expect("idle");
+        let restored = handle.snapshot(WAIT).expect("snapshot");
+        assert_eq!(restored.trace_len, expected.trace_len);
+        assert_eq!(restored.engine_state, expected.engine_state);
+        assert_eq!(restored.pending, expected.pending);
+        assert_eq!(restored.trace_json, expected.trace_json);
+
+        for session in [&ref_handle, &handle] {
+            session.resume().expect("send");
+            session.run_for(3_000_000).expect("send");
+            session.wait_idle(WAIT).expect("idle");
+        }
+        let continued = handle.snapshot(WAIT).expect("snapshot");
+        assert_eq!(
+            continued.trace_json,
+            ref_handle.snapshot(WAIT).expect("snapshot").trace_json,
+            "the restored session continues exactly like the reference"
+        );
+        drop(server);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

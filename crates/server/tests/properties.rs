@@ -171,14 +171,19 @@ proptest! {
         let handle = server.add_session(active_session(blinker_system("prop", 0.002, 1_000_000)));
         let events = handle.subscribe();
         // A snapshot request sprinkled mid-script must also be serviced.
-        let mut mid_snapshot = None;
+        // It blocks on its own thread, so the rest of the script lands
+        // in the mailbox behind it.
         let mid = script.len() / 2;
-        for (i, command) in script.into_iter().enumerate() {
-            if i == mid {
-                mid_snapshot = Some(handle.stats(WAIT));
+        let mid_snapshot = std::thread::scope(|scope| {
+            let mut query = None;
+            for (i, command) in script.into_iter().enumerate() {
+                if i == mid {
+                    query = Some(scope.spawn(|| handle.stats(WAIT)));
+                }
+                handle.send(command).unwrap();
             }
-            handle.send(command).unwrap();
-        }
+            query.map(|query| query.join().expect("stats thread"))
+        });
         // Settle: no breakpoints left, engine drained, budget consumed.
         handle.clear_breakpoints().unwrap();
         handle.resume().unwrap();

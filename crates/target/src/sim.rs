@@ -500,9 +500,7 @@ impl Simulator {
         label: &str,
         value: SignalValue,
     ) -> Result<(), SimError> {
-        if !self.image.nodes.iter().any(|n| n.board.contains_key(label)) {
-            return Err(SimError::UnknownLabel(label.to_owned()));
-        }
+        self.check_label(label)?;
         if time_ns < self.now_ns {
             return Ok(());
         }
@@ -512,6 +510,20 @@ impl Simulator {
             + self.stim_pos;
         self.stimuli.insert(at, (time_ns, label.to_owned(), value));
         Ok(())
+    }
+
+    /// Checks that some node's board carries `label`, the one thing
+    /// [`Simulator::schedule_signal`] can reject.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownLabel`] otherwise.
+    pub fn check_label(&self, label: &str) -> Result<(), SimError> {
+        if self.image.nodes.iter().any(|n| n.board.contains_key(label)) {
+            Ok(())
+        } else {
+            Err(SimError::UnknownLabel(label.to_owned()))
+        }
     }
 
     /// Reads a node's current copy of a labeled signal.
