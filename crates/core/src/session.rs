@@ -269,6 +269,15 @@ impl DebugSession {
         self.engine.resume_trace_store(store);
     }
 
+    /// Replaces the trace's backend with `next_seq` as the next
+    /// sequence number — a restored [`SessionCheckpoint::trace_len`].
+    /// Entries the store already holds from there on are re-derived by
+    /// deterministic catch-up instead of duplicated; see
+    /// [`gmdf_engine::DebuggerEngine::set_trace_store_at`].
+    pub fn set_trace_store_at(&mut self, store: Box<dyn gmdf_engine::TraceStore>, next_seq: u64) {
+        self.engine.set_trace_store_at(store, next_seq);
+    }
+
     /// Captures the session's complete dynamic state — target, channel
     /// decode state, engine presentation state, stimulus schedule and
     /// trace position — as one serializable [`SessionCheckpoint`].

@@ -145,6 +145,18 @@ impl DebuggerEngine {
         self.trace = ExecutionTrace::with_store(store);
     }
 
+    /// Replaces the trace backend, with `next_seq` as the sequence
+    /// number of the next recorded command — the trace position of a
+    /// restored [`EngineCheckpoint`]. Re-fed commands below the store's
+    /// length are dropped as deterministic catch-up, so a restart from
+    /// a checkpoint re-derives only `[next_seq, store.len())`; `0` is
+    /// [`DebuggerEngine::set_trace_store`] and `store.len()` is
+    /// [`DebuggerEngine::resume_trace_store`]. See
+    /// [`ExecutionTrace::with_store_at`].
+    pub fn set_trace_store_at(&mut self, store: Box<dyn crate::store::TraceStore>, next_seq: u64) {
+        self.trace = ExecutionTrace::with_store_at(store, next_seq);
+    }
+
     /// Attaches (or detaches) a metrics sink on the trace: store appends
     /// and range reads are timed into it from now on. Call *after* any
     /// [`DebuggerEngine::set_trace_store`] — replacing the backend

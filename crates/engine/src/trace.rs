@@ -129,12 +129,7 @@ impl ExecutionTrace {
     /// Creates a trace over `store`. A non-empty store puts the trace
     /// in deterministic catch-up mode (see the type docs).
     pub fn with_store(store: Box<dyn TraceStore>) -> Self {
-        ExecutionTrace {
-            store,
-            next_seq: 0,
-            error: None,
-            metrics: None,
-        }
+        Self::with_store_at(store, 0)
     }
 
     /// Creates a trace over `store` in **resume** mode: the next
@@ -145,6 +140,22 @@ impl ExecutionTrace {
     /// checkpoint's trace length), never re-deriving the prefix.
     pub fn resume_with_store(store: Box<dyn TraceStore>) -> Self {
         let next_seq = store.len();
+        Self::with_store_at(store, next_seq)
+    }
+
+    /// Creates a trace over `store` whose next recorded command gets
+    /// sequence number `next_seq` — the trace position of a restored
+    /// checkpoint. Commands re-recorded below `store.len()` are dropped
+    /// as deterministic catch-up (see the type docs), so only
+    /// `[next_seq, store.len())` is re-derived before appends resume.
+    /// `next_seq` must not exceed `store.len()`: the trace would skip
+    /// the sequence numbers in between.
+    pub fn with_store_at(store: Box<dyn TraceStore>, next_seq: u64) -> Self {
+        debug_assert!(
+            next_seq <= store.len(),
+            "next seq {next_seq} past the store's {} entries",
+            store.len()
+        );
         ExecutionTrace {
             store,
             next_seq,
@@ -614,6 +625,27 @@ mod tests {
         assert_eq!(s2, 2);
         assert_eq!(t.len(), 3);
         assert_eq!(t.get(2).unwrap().event.time_ns, 300);
+    }
+
+    #[test]
+    fn catch_up_from_a_checkpoint_position_covers_only_the_rest() {
+        // A checkpoint at seq 1 over a store holding two entries: only
+        // entry 1 is re-derived, then appends resume at 2.
+        let trace_entries = sample().entries();
+        let store = crate::store::MemStore::from_entries(trace_entries.clone());
+        let mut t = ExecutionTrace::with_store_at(Box::new(store), 1);
+        assert!(t.catching_up());
+        let s1 = t.record(trace_entries[1].event.clone(), vec![], vec![]);
+        assert_eq!(s1, 1);
+        assert_eq!(t.len(), 2, "the stored entry is not duplicated");
+        assert!(!t.catching_up());
+        let s2 = t.record(
+            ModelEvent::new(300, EventKind::StateEnter, "A/fsm").with_to("Idle"),
+            vec![],
+            vec![],
+        );
+        assert_eq!(s2, 2);
+        assert_eq!(t.entries()[..2], trace_entries[..]);
     }
 
     #[test]

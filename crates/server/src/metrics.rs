@@ -171,14 +171,15 @@ pub struct MetricsRegistry {
     pub checkpoint_writes: Counter,
     /// Total checkpoint payload bytes written.
     pub checkpoint_bytes: Counter,
-    /// Checkpoint images loaded back during time-travel seeks.
+    /// Checkpoint images loaded back by time-travel seeks and by
+    /// restarts (one per durable session restored from an image).
     pub checkpoint_restores: Counter,
     /// Wall nanoseconds per checkpoint write (serialize + fsync +
     /// rename) — the periodic cost a durable session pays for
     /// O(interval) seeks.
     pub checkpoint_write_ns: Histogram,
-    /// Wall nanoseconds per checkpoint load during a seek (read +
-    /// parse), excluding the replay that follows.
+    /// Wall nanoseconds per checkpoint load during a seek or a restart
+    /// (read + parse), excluding the replay that follows.
     pub checkpoint_restore_ns: Histogram,
     /// Wire-layer counters.
     pub wire: WireMetrics,
@@ -410,11 +411,12 @@ pub struct FleetMetrics {
     pub checkpoint_writes: u64,
     /// Total checkpoint payload bytes written.
     pub checkpoint_bytes: u64,
-    /// Checkpoint images loaded back by time-travel seeks.
+    /// Checkpoint images loaded back by time-travel seeks and restarts.
     pub checkpoint_restores: u64,
     /// Checkpoint write latency (serialize + fsync + rename).
     pub checkpoint_write_ns: HistogramSnapshot,
-    /// Checkpoint load latency during seeks (read + parse).
+    /// Checkpoint load latency during seeks and restarts (read +
+    /// parse).
     pub checkpoint_restore_ns: HistogramSnapshot,
     /// Live wire connections.
     pub wire_connections: u64,

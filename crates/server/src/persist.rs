@@ -14,29 +14,41 @@
 //!     meta.json
 //!     seg-*.log    hot segments (JSON or binary records, per meta)
 //!     seg-*.lgz    cold segments, compressed by the retention sweep
+//!   checkpoints/   periodic full-state images (ckpt-<seq>-<t_ns>.ck),
+//!                  each with the journal position it was taken at
 //! ```
 //!
 //! Restore leans entirely on determinism: the simulator, the code
 //! generator and slice pumping are all bit-exact, so *spec + journal*
-//! is the session. [`restore_session`] rebuilds the session from its
-//! spec, reattaches the recovered trace store, and [`replay`]s the
-//! journal: each mutation is re-applied at the exact target time it
-//! originally took effect, with the simulator pumped up to that instant
-//! in between (time-travel seeks replay through the same function). The
-//! store's already-persisted prefix makes the trace drop re-generated
-//! entries instead of duplicating them (deterministic catch-up, see
-//! [`gmdf_engine::ExecutionTrace`]). Whatever run budget the journal
-//! grants beyond the restore point is handed back to the scheduler,
-//! which finishes the run as if the restart never happened.
+//! is the session, and a checkpoint image under `checkpoints/` is a
+//! shortcut into it. Restart and time-travel seeks rebuild a session
+//! the same way: [`newest_image`] picks the newest usable checkpoint
+//! (each caller says which images it can use), and [`rebuild`]
+//! restores it, attaches a trace store at the image's trace position,
+//! and [`replay`]s the journal after the image's position — each
+//! mutation re-applied at the exact target time it originally took
+//! effect, with the simulator pumped up to that instant in between.
+//! With no usable image the same code replays from time zero.
+//!
+//! [`restore_session`] restarts from the newest image the recovered
+//! trace store covers, so a restart costs one checkpoint interval of
+//! replay, not the session's age. Entries the store already holds are
+//! dropped instead of duplicated while the replay re-derives them
+//! (deterministic catch-up, see [`gmdf_engine::ExecutionTrace`]).
+//! Whatever run budget the journal grants beyond the restore point is
+//! handed back to the scheduler, which finishes the run as if the
+//! restart never happened.
 
+use crate::metrics::MetricsRegistry;
 use gmdf::{DebugSession, Mutation, SessionSpec};
 use gmdf_engine::store::{encode_record, read_records, SegmentConfig, SegmentStore};
-use gmdf_engine::EngineNotice;
+use gmdf_engine::{CheckpointMeta, CheckpointStore, EngineNotice, TraceStore};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
+use std::time::Instant;
 
 /// One journaled mutation: what was applied, and the target time the
 /// session had reached when it was applied.
@@ -175,22 +187,12 @@ pub(crate) fn persisted_ids(root: &Path) -> Vec<u64> {
     ids
 }
 
-/// What one [`replay`] re-applied.
-#[derive(Debug, Default)]
-pub(crate) struct Replayed {
-    /// Journal records applied.
-    pub records: u64,
-    /// Run budget those records granted, in total.
-    pub budget_ns: u64,
-    /// Model events fed by the pumps between records.
-    pub events_fed: u64,
-}
-
 /// Deterministic replay, shared by restart and seek: pumps `session` to
 /// each record's application instant and applies its mutation there,
 /// stopping before the first record stamped after `until_ns` (restart
 /// replays the whole journal; a seek stops at its target). Run budget
-/// is only tallied, never spent — the caller decides how far to run.
+/// is never spent here — the caller decides how far to run. Returns
+/// the number of records applied.
 ///
 /// # Errors
 ///
@@ -200,26 +202,102 @@ pub(crate) fn replay(
     session: &mut DebugSession,
     records: &[JournalRecord],
     until_ns: u64,
-) -> Result<Replayed, String> {
-    let mut replayed = Replayed::default();
+) -> Result<u64, String> {
+    let mut applied = 0;
     for record in records {
         if record.at_ns > until_ns {
             break;
         }
         let now = session.now_ns();
         if record.at_ns > now {
-            let report = session
+            session
                 .run_for(record.at_ns - now)
                 .map_err(|e| format!("replay pump failed: {e}"))?;
-            replayed.events_fed += report.events_fed as u64;
         }
-        let granted_ns = session
+        session
             .apply(&record.command)
             .map_err(|e| format!("replaying {:?} failed: {e}", record.command))?;
-        replayed.budget_ns = replayed.budget_ns.saturating_add(granted_ns);
-        replayed.records += 1;
+        applied += 1;
     }
-    Ok(replayed)
+    Ok(applied)
+}
+
+/// The newest checkpoint image in `store` that both restart and seek
+/// can restore from: its meta satisfies the caller's `accept`, it loads
+/// and parses, and its journal position lies within the `journal_len`
+/// valid journal records. An image that fails any of these is skipped
+/// for the next older one — a damaged file, or one taken after journal
+/// records that did not survive (replaying from it would silently miss
+/// their commands). `None` means replay from time zero: strictly
+/// slower, never wrong. A hit counts one checkpoint restore, timed
+/// over its load and parse.
+pub(crate) fn newest_image(
+    store: &CheckpointStore,
+    journal_len: usize,
+    registry: &MetricsRegistry,
+    accept: impl Fn(&CheckpointMeta) -> bool,
+) -> Option<(CheckpointMeta, ServerCheckpoint)> {
+    for meta in store.metas().iter().rev().filter(|m| accept(m)) {
+        let t0 = registry.enabled().then(Instant::now);
+        let Ok(payload) = store.load(meta) else {
+            continue;
+        };
+        let Ok(text) = String::from_utf8(payload) else {
+            continue;
+        };
+        let Ok(image) = serde_json::from_str::<ServerCheckpoint>(&text) else {
+            continue;
+        };
+        if image.journal_pos > journal_len as u64 {
+            continue;
+        }
+        if let Some(t0) = t0 {
+            registry.checkpoint_restores.inc();
+            registry
+                .checkpoint_restore_ns
+                .record(t0.elapsed().as_nanos() as u64);
+        }
+        return Some((*meta, image));
+    }
+    None
+}
+
+/// Rebuilds a session from `spec`: restores `image` (or starts at time
+/// zero without one), attaches `store` with the image's trace length as
+/// the next sequence number, and [`replay`]s the records after the
+/// image's journal position up to `until_ns`. Returns the session and
+/// the number of records replayed.
+///
+/// # Errors
+///
+/// Returns a message when the spec does not build, the image does not
+/// fit the spec, or the replay fails.
+pub(crate) fn rebuild(
+    spec: &SessionSpec,
+    image: Option<&ServerCheckpoint>,
+    store: Box<dyn TraceStore>,
+    records: &[JournalRecord],
+    until_ns: u64,
+) -> Result<(DebugSession, u64), String> {
+    let mut session = spec.build().map_err(|e| format!("rebuild failed: {e}"))?;
+    let (next_seq, journal_pos) = match image {
+        Some(image) => {
+            session
+                .restore_state(&image.session)
+                .map_err(|e| format!("checkpoint restore failed: {e}"))?;
+            (image.session.trace_len(), image.journal_pos)
+        }
+        None => (0, 0),
+    };
+    session.set_trace_store_at(store, next_seq);
+    let suffix = records.get(journal_pos as usize..).ok_or_else(|| {
+        format!(
+            "checkpoint journal position {journal_pos} is past the journal's {} records",
+            records.len()
+        )
+    })?;
+    let replayed = replay(&mut session, suffix, until_ns)?;
+    Ok((session, replayed))
 }
 
 /// A session rebuilt from its persisted state, ready to hand to the
@@ -229,11 +307,18 @@ pub(crate) struct RestoredSession {
     pub session: DebugSession,
     pub notices: mpsc::Receiver<EngineNotice>,
     pub journal: Journal,
-    /// Run budget granted by the journal but not yet consumed — the
-    /// scheduler finishes it.
+    /// The session's checkpoint images, opened once here; `None` when
+    /// the directory could not be opened, which leaves the session
+    /// checkpoint-less (restored and seeking from time zero).
+    pub checkpoints: Option<CheckpointStore>,
+    /// Run budget granted by the whole journal but not yet consumed —
+    /// the scheduler finishes it. The records before the restored
+    /// image's position are not replayed, but their budget counts.
     pub remaining_ns: u64,
-    /// Counters reconstructed from the replayed history, so snapshots
-    /// after a restart report the same totals as an uninterrupted run.
+    /// Counters read off the restored engine (its checkpointed stats,
+    /// paused queue and violations, advanced by the replay), so
+    /// snapshots after a restart report the same totals as an
+    /// uninterrupted run.
     pub events_fed: u64,
     pub violations: u64,
     pub breakpoint_hits: u64,
@@ -245,34 +330,34 @@ pub(crate) struct RestoredSession {
     pub journal_len: u64,
 }
 
-/// Rebuilds one durable session from `<root>/sessions/<id>` (see the
-/// module docs for the replay semantics).
+/// Rebuilds one durable session from `<root>/sessions/<id>`: from the
+/// newest checkpoint image the recovered trace store covers, else from
+/// time zero (see the module docs for the replay semantics).
+///
+/// Only images at or below the recovered store's length qualify. Trace
+/// segments are not fsynced but images are, so after a power loss the
+/// newest image can be ahead of the store; restoring it would leave the
+/// entries in between unwritten.
 ///
 /// # Errors
 ///
-/// Returns a message when the spec is unreadable or the deterministic
-/// replay fails (it cannot for state persisted by this code, barring
-/// on-disk tampering).
+/// Returns a message when the spec, trace store or journal is
+/// unreadable, or the deterministic replay fails (it cannot for state
+/// persisted by this code, barring on-disk tampering).
 pub(crate) fn restore_session(
     root: &Path,
     id: u64,
     store_config: SegmentConfig,
+    registry: &MetricsRegistry,
 ) -> Result<RestoredSession, String> {
     let dir = session_dir(root, id);
     let spec = load_spec(&dir).map_err(|e| format!("session {id}: {e}"))?;
-    let mut session = spec
-        .build()
-        .map_err(|e| format!("session {id}: rebuild failed: {e}"))?;
-    let notices = session.engine_mut().subscribe();
 
-    // Reattach the recovered trace. Its surviving prefix arms the
-    // deterministic catch-up: re-generated entries below the recovered
-    // length are dropped, not duplicated. The store's own meta.json
-    // codec wins over the configured one, so a fleet reconfigured to a
-    // new codec still reopens old session directories correctly.
+    // The store's own meta.json codec wins over the configured one, so
+    // a fleet reconfigured to a new codec still reopens old session
+    // directories correctly.
     let store = SegmentStore::open_with(dir.join("trace"), store_config)
         .map_err(|e| format!("session {id}: trace recovery failed: {e}"))?;
-    session.set_trace_store(Box::new(store));
 
     // Recover the journal, truncating any torn tail record (a command
     // cut mid-append was never acknowledged; dropping it is correct).
@@ -294,38 +379,55 @@ pub(crate) fn restore_session(
         records = recovered;
     }
 
-    let replayed =
-        replay(&mut session, &records, u64::MAX).map_err(|e| format!("session {id}: {e}"))?;
-    let remaining_ns = replayed.budget_ns.saturating_sub(session.now_ns());
+    // A checkpoint store that fails to open degrades the session to
+    // checkpoint-less rather than quarantining it — checkpoints are
+    // derived state, the journal is the truth.
+    let checkpoints = CheckpointStore::open(checkpoint_dir(root, id)).ok();
+    let stored = store.len();
+    let image = checkpoints
+        .as_ref()
+        .and_then(|cs| newest_image(cs, records.len(), registry, |m| m.seq <= stored))
+        .map(|(_, image)| image);
+    let (mut session, _) = rebuild(&spec, image.as_ref(), Box::new(store), &records, u64::MAX)
+        .map_err(|e| format!("session {id}: {e}"))?;
+    // Subscribed after the replay: its notices are history, and the
+    // counters below already include them.
+    let notices = session.engine_mut().subscribe();
 
-    // Reconstruct the counters from the replayed prefix; the scheduler
-    // continues them over the remaining budget.
-    let mut violations: u64 = 0;
-    let mut breakpoint_hits: u64 = 0;
-    while let Ok(notice) = notices.try_recv() {
-        violations += notice.violations as u64;
-        if notice.hit_breakpoint {
-            breakpoint_hits += 1;
-        }
-    }
-    let trace_cursor = session.engine().trace().len() as u64;
+    let granted_ns = records
+        .iter()
+        .filter_map(|r| match r.command {
+            Mutation::RunFor { duration_ns } => Some(duration_ns),
+            _ => None,
+        })
+        .fold(0u64, u64::saturating_add);
+    let engine = session.engine();
+    let stats = engine.stats();
+    let events_fed = stats.events_processed + engine.pending() as u64;
+    let violations = engine.violations().len() as u64;
+    let trace_cursor = engine.trace().len() as u64;
     let journal = Journal::open(&journal_path).map_err(|e| e.to_string())?;
     Ok(RestoredSession {
+        remaining_ns: granted_ns.saturating_sub(session.now_ns()),
         session,
         notices,
         journal,
-        remaining_ns,
-        events_fed: replayed.events_fed,
+        checkpoints,
+        events_fed,
         violations,
-        breakpoint_hits,
+        breakpoint_hits: stats.breakpoint_hits,
         trace_cursor,
-        journal_len: replayed.records,
+        journal_len: records.len() as u64,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_systems::blinker_system;
+    use gmdf::{ChannelMode, Workflow};
+    use gmdf_codegen::{CompileOptions, InstrumentOptions};
+    use gmdf_target::SimConfig;
 
     /// The literal JSON of one journal record per journaled command.
     /// Journals already on disk hold exactly these bytes, so a change
@@ -367,6 +469,58 @@ mod tests {
             .map(|record| serde_json::to_string(record).expect("serializes"))
             .collect();
         assert_eq!(read_back, GOLDEN_RECORDS);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An image whose journal position lies past the valid journal (a
+    /// `journal.log` cut at a record boundary lost the commands it
+    /// covers) is skipped like a damaged one: the picker returns the
+    /// next older image, and counts only that restore.
+    #[test]
+    fn picker_skips_an_image_past_the_journal_end() {
+        let spec = Workflow::from_system(blinker_system("picker", 0.0005, 500_000))
+            .expect("valid system")
+            .default_abstraction()
+            .default_commands()
+            .into_spec(
+                ChannelMode::Active,
+                CompileOptions {
+                    instrument: InstrumentOptions::behavior(),
+                    faults: vec![],
+                },
+                SimConfig::default(),
+            );
+        let mut session = spec.build().expect("builds");
+        let dir = std::env::temp_dir().join(format!("gmdf-picker-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = CheckpointStore::open(&dir).expect("open checkpoint store");
+        let records = 2usize;
+        for journal_pos in [1, records as u64 + 1] {
+            session.run_for(2_000_000).expect("runs");
+            let image = ServerCheckpoint {
+                journal_pos,
+                session: session.save_state(),
+            };
+            let payload = serde_json::to_string(&image).expect("serializes");
+            store
+                .save(
+                    image.session.trace_len(),
+                    image.session.t_ns(),
+                    payload.as_bytes(),
+                )
+                .expect("save");
+        }
+
+        let registry = MetricsRegistry::new(1);
+        let (meta, image) =
+            newest_image(&store, records, &registry, |_| true).expect("the older image");
+        assert_eq!(meta, store.metas()[0]);
+        assert_eq!(image.journal_pos, 1);
+        assert_eq!(registry.checkpoint_restores.get(), 1);
+        // One more surviving record and the newest image serves again.
+        let (meta, _) =
+            newest_image(&store, records + 1, &registry, |_| true).expect("the newest image");
+        assert_eq!(Some(meta), store.latest());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -129,9 +129,9 @@ pub struct PersistConfig {
     /// entries since the last checkpoint writes a new one
     /// (crash-safely, next to its journal). Checkpoints are what make
     /// [`Query::SeekTo`] / [`Query::StepBack`] /
-    /// [`Query::ReplayWindow`] O(interval) instead of
-    /// O(whole trace). `0` disables checkpointing (seeks fall back to
-    /// replay-from-zero).
+    /// [`Query::ReplayWindow`] and server restarts O(interval) instead
+    /// of O(whole trace). `0` disables checkpointing (seeks and
+    /// restarts fall back to replay-from-zero).
     pub checkpoint_interval: u64,
 }
 
@@ -392,10 +392,10 @@ struct SessionInner {
     /// position a checkpoint records as its
     /// [`persist::ServerCheckpoint::journal_pos`].
     journal_len: u64,
-    /// Periodic full-state checkpoints for O(interval) time travel;
-    /// `None` for in-memory sessions (and for durable sessions whose
-    /// checkpoint directory failed to open on restore — seeks then fall
-    /// back to replay-from-zero).
+    /// Periodic full-state checkpoints for O(interval) time travel and
+    /// restarts; `None` for in-memory sessions (and for durable
+    /// sessions whose checkpoint directory failed to open on restore —
+    /// seeks then fall back to replay-from-zero).
     checkpoints: Option<CheckpointStore>,
     /// Trace entries between checkpoints; `0` disables checkpointing.
     checkpoint_interval: u64,
@@ -527,10 +527,13 @@ impl DebugServer {
     /// Boots a **persistent** server: durable sessions journal their
     /// spec, commands and trace under `persist.root`, and any sessions
     /// already persisted there are recreated — their traces recovered
-    /// from disk, their command history deterministically replayed to
-    /// the point the old process reached, and any outstanding run
-    /// budget handed back to the scheduler. Restored sessions keep
-    /// their ids; new ids continue above the highest restored one.
+    /// from disk, their newest checkpoint image that the recovered
+    /// trace covers restored, the commands journaled after it
+    /// deterministically replayed to the point the old process reached
+    /// (the whole journal from time zero when no image is usable), and
+    /// any outstanding run budget handed back to the scheduler.
+    /// Restored sessions keep their ids; new ids continue above the
+    /// highest restored one.
     ///
     /// A session that fails to restore (corrupt spec, tampered
     /// journal…) is **quarantined**, not fatal: its directory is left
@@ -554,14 +557,14 @@ impl DebugServer {
             // Reserve the id either way: a fresh session must never be
             // created over a quarantined directory.
             server.shared.next_id.fetch_max(id + 1, Ordering::SeqCst);
-            match persist::restore_session(&persist.root, id, persist.segment_config()) {
+            let restored = persist::restore_session(
+                &persist.root,
+                id,
+                persist.segment_config(),
+                &server.shared.metrics,
+            );
+            match restored {
                 Ok(restored) => {
-                    // A checkpoint store that fails to open degrades the
-                    // session to checkpoint-less (seeks replay from
-                    // zero) rather than quarantining it — checkpoints
-                    // are derived state, the journal is the truth.
-                    let checkpoints =
-                        CheckpointStore::open(persist::checkpoint_dir(&persist.root, id)).ok();
                     let dir = persist::session_dir(&persist.root, id);
                     let checkpoint_interval = persist.checkpoint_interval;
                     server.register(id, restored.session, restored.notices, |inner| {
@@ -574,7 +577,7 @@ impl DebugServer {
                         inner.journal_len = restored.journal_len;
                         inner.dir = Some(dir);
                         inner.checkpoint_interval = checkpoint_interval;
-                        if let Some(cs) = checkpoints {
+                        if let Some(cs) = restored.checkpoints {
                             inner.last_checkpoint_len = cs.latest().map_or(0, |m| m.seq);
                             // Segments still referenced by the oldest
                             // retained checkpoint must outlive retention
@@ -1742,11 +1745,12 @@ struct SeekReplica {
 }
 
 /// Builds a replica of the session at `target_ns`: restores the newest
-/// *loadable* checkpoint whose time satisfies the horizon (`< horizon`
-/// when `strictly_before`, else `<= horizon`), then deterministically
-/// replays journal and pump up to the target. A damaged checkpoint
-/// falls back to the next older one; with none usable the replica
-/// replays from time zero — strictly slower, never wrong.
+/// usable checkpoint whose time satisfies the horizon (`< horizon` when
+/// `strictly_before`, else `<= horizon`), then deterministically
+/// replays journal and pump up to the target. The pick is
+/// [`persist::newest_image`], the one restart uses: a damaged image, or
+/// one past the journal's valid end, falls back to the next older one;
+/// with none usable the replica replays from time zero.
 fn seek_replica(
     inner: &SessionInner,
     registry: &MetricsRegistry,
@@ -1760,55 +1764,28 @@ fn seek_replica(
     })?;
     let spec = persist::load_spec(dir)?;
     let records = persist::read_journal(dir)?;
-    let mut restored: Option<(CheckpointMeta, persist::ServerCheckpoint)> = None;
-    if let Some(store) = &inner.checkpoints {
-        let in_horizon = |m: &CheckpointMeta| {
-            if strictly_before {
-                m.t_ns < horizon_ns
-            } else {
-                m.t_ns <= horizon_ns
-            }
-        };
-        for meta in store.metas().iter().rev().filter(|m| in_horizon(m)) {
-            let t0 = registry.enabled().then(Instant::now);
-            // A checkpoint that fails to load or parse is skipped, not
-            // fatal: the one before it (or replay-from-zero) serves the
-            // same seek, just more slowly.
-            let Ok(payload) = store.load(meta) else {
-                continue;
-            };
-            let Ok(text) = String::from_utf8(payload) else {
-                continue;
-            };
-            let Ok(image) = serde_json::from_str::<persist::ServerCheckpoint>(&text) else {
-                continue;
-            };
-            if let Some(t0) = t0 {
-                registry.checkpoint_restores.inc();
-                registry
-                    .checkpoint_restore_ns
-                    .record(t0.elapsed().as_nanos() as u64);
-            }
-            restored = Some((*meta, image));
-            break;
+    let in_horizon = |m: &CheckpointMeta| {
+        if strictly_before {
+            m.t_ns < horizon_ns
+        } else {
+            m.t_ns <= horizon_ns
         }
-    }
-    let mut session = spec
-        .build()
-        .map_err(|e| format!("replica rebuild failed: {e}"))?;
-    let (base, journal_pos, checkpoint) = match restored {
-        Some((meta, image)) => {
-            session
-                .restore_state(&image.session)
-                .map_err(|e| format!("checkpoint restore failed: {e}"))?;
-            (image.session.trace_len(), image.journal_pos, Some(meta))
-        }
-        None => (0, 0, None),
     };
-    session.resume_trace_store(Box::new(OffsetMemStore::new(base)));
-    let suffix = records.get(journal_pos as usize..).unwrap_or_default();
-    let replayed =
-        persist::replay(&mut session, suffix, target_ns).map_err(|e| format!("replica {e}"))?;
+    let picked = inner
+        .checkpoints
+        .as_ref()
+        .and_then(|store| persist::newest_image(store, records.len(), registry, in_horizon));
+    let base = picked
+        .as_ref()
+        .map_or(0, |(_, image)| image.session.trace_len());
+    let (mut session, replayed_commands) = persist::rebuild(
+        &spec,
+        picked.as_ref().map(|(_, image)| image),
+        Box::new(OffsetMemStore::new(base)),
+        &records,
+        target_ns,
+    )
+    .map_err(|e| format!("replica {e}"))?;
     let now = session.now_ns();
     if target_ns > now {
         session
@@ -1818,8 +1795,8 @@ fn seek_replica(
     Ok(SeekReplica {
         session,
         base,
-        checkpoint,
-        replayed_commands: replayed.records,
+        checkpoint: picked.map(|(meta, _)| meta),
+        replayed_commands,
     })
 }
 

@@ -5,7 +5,10 @@
 //! restarted over the same registry finishes the run with an
 //! `ExecutionTrace::to_json` and a subscriber-visible entry stream
 //! **byte-identical** to an uninterrupted in-memory run of the same
-//! command history — the restart is unobservable in the record.
+//! command history — the restart is unobservable in the record. A
+//! restart restores the newest checkpoint image the recovered trace
+//! store covers; it must equal both the uninterrupted run and a
+//! restart of the same registry with its checkpoints deleted.
 
 mod common;
 
@@ -20,7 +23,7 @@ use gmdf_server::{
 };
 use gmdf_target::SimConfig;
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -78,6 +81,82 @@ fn drive_history(handle: &SessionHandle) {
     handle.step().expect("send");
     handle.resume().expect("send");
     handle.wait_idle(WAIT).expect("idle");
+}
+
+/// Copies a registry directory tree, so two restarts can start from
+/// the same on-disk state.
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("create copy");
+    for entry in std::fs::read_dir(from).expect("read registry") {
+        let entry = entry.expect("dir entry");
+        let target = to.join(entry.file_name());
+        if entry.file_type().expect("file type").is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), &target).expect("copy file");
+        }
+    }
+}
+
+/// The checkpoint directory of one durable session.
+fn checkpoint_dir(root: &Path, id: u64) -> PathBuf {
+    root.join("sessions")
+        .join(format!("{id:016}"))
+        .join("checkpoints")
+}
+
+/// Trace positions of the checkpoint images on disk, ascending.
+fn checkpoint_seqs(root: &Path, id: u64) -> Vec<u64> {
+    let mut seqs: Vec<u64> = std::fs::read_dir(checkpoint_dir(root, id))
+        .expect("checkpoint dir exists")
+        .filter_map(|e| {
+            let name = e.ok()?.file_name().into_string().ok()?;
+            let stem = name.strip_prefix("ckpt-")?.strip_suffix(".ck")?;
+            stem.split('-').next()?.parse().ok()
+        })
+        .collect();
+    seqs.sort_unstable();
+    seqs
+}
+
+/// A history shaped like the time-travel suite's: a stimulus, a
+/// one-shot breakpoint hit that leaves the engine paused with commands
+/// queued behind it, then step, resume and clear. The ring system's
+/// `state_sig` output is the stimulus label.
+fn drive_paused_history(handle: &SessionHandle) {
+    handle.run_for(6_000_000).expect("send");
+    handle.wait_idle(WAIT).expect("idle");
+    handle
+        .schedule_signal(9_000_000, "state_sig", gmdf_comdes::SignalValue::Int(5))
+        .expect("send");
+    handle
+        .add_breakpoint(CommandMatcher::kind(EventKind::StateEnter), true)
+        .expect("send");
+    handle.run_for(6_000_000).expect("send");
+    handle.wait_idle(WAIT).expect("idle");
+    handle.step().expect("send");
+    handle.resume().expect("send");
+    handle.run_for(9_000_000).expect("send");
+    handle.wait_idle(WAIT).expect("idle");
+    handle.clear_breakpoints().expect("send");
+}
+
+/// The full entry stream of a restarted session: what subscribers saw
+/// before the kill, plus the history from there on paged out of the
+/// store with `ReplayFrom` (pages of 7, so the paging loops).
+fn stream_after_restart(handle: &SessionHandle, pre_kill: &[TraceEntry]) -> String {
+    let mut stream = pre_kill.to_vec();
+    loop {
+        let next = stream.len() as u64;
+        let slice = handle.replay_from(next, 7, WAIT).expect("replay page");
+        assert_eq!(slice.first_seq, next);
+        let done = slice.complete;
+        stream.extend(slice.entries);
+        if done {
+            break;
+        }
+    }
+    serde_json::to_string(&stream).expect("json")
 }
 
 /// Stop a persistent server mid-run, restart it over the same registry,
@@ -235,6 +314,187 @@ proptest! {
         }
         std::fs::remove_dir_all(&root).ok();
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The restart oracle: a session killed with run budget outstanding
+    /// and restarted from its newest checkpoint equals both an
+    /// uninterrupted in-memory run and a restart of the same registry
+    /// with `checkpoints/` deleted (the from-zero replay) — trace,
+    /// clock, engine state, paused queue, counters and the entry stream
+    /// — right after the restart and again after one more `run_for`.
+    /// The restore counter proves the restart really took an image.
+    #[test]
+    fn checkpointed_restart_equals_uninterrupted_and_from_zero_runs(
+        interval in 1u64..=8,
+        kill_ns in prop_oneof![Just(4_000_000u64), Just(15_000_000u64)],
+        paused_at_kill in any::<bool>(),
+    ) {
+        const MORE_NS: u64 = 5_000_000;
+        let system = || ring_system("ckpt-restart", 3, 0.0008, 500_000);
+        // The history, ending in the run the kill interrupts; with
+        // `paused_at_kill` that run hits a breakpoint and queues.
+        let history = |handle: &SessionHandle| {
+            drive_paused_history(handle);
+            if paused_at_kill {
+                handle
+                    .add_breakpoint(CommandMatcher::kind(EventKind::StateEnter), true)
+                    .expect("send");
+            }
+            handle.run_for(kill_ns).expect("send");
+        };
+
+        let reference = DebugServer::start(server_config());
+        let ref_handle = reference.add_session(spec_of(system()).build().expect("builds"));
+        let ref_events = ref_handle.subscribe();
+        history(&ref_handle);
+        ref_handle.wait_idle(WAIT).expect("idle");
+        let mut ref_stream = Vec::new();
+        let expected = ref_handle.snapshot(WAIT).expect("snapshot");
+        drain_delta_entries(&ref_events, &mut ref_stream);
+        let expected_stream = serde_json::to_string(&ref_stream).expect("json");
+        ref_handle.run_for(MORE_NS).expect("send");
+        ref_handle.wait_idle(WAIT).expect("idle");
+        let expected_more = ref_handle.snapshot(WAIT).expect("snapshot");
+        drain_delta_entries(&ref_events, &mut ref_stream);
+        let expected_more_stream = serde_json::to_string(&ref_stream).expect("json");
+        drop(reference);
+
+        let root = tmp_root("ckpt-restart");
+        let persist = |root: &Path| PersistConfig::new(root).with_checkpoint_interval(interval);
+        let (id, pre_kill) = {
+            let server = DebugServer::start_persistent(server_config(), persist(&root))
+                .expect("boots");
+            let handle = server
+                .add_durable_session(&spec_of(system()))
+                .expect("durable session");
+            let events = handle.subscribe();
+            history(&handle);
+            // Barrier: the last RunFor is applied and journaled, its
+            // budget still outstanding when the server is dropped.
+            handle.stats(WAIT).expect("stats");
+            let mut pre = Vec::new();
+            drain_delta_entries(&events, &mut pre);
+            (handle.id(), pre)
+        };
+        prop_assert!(!checkpoint_seqs(&root, id).is_empty(), "the history wrote images");
+        let zero_root = tmp_root("ckpt-restart-zero");
+        copy_dir(&root, &zero_root);
+        std::fs::remove_dir_all(checkpoint_dir(&zero_root, id)).expect("delete checkpoints");
+
+        for (root, restores) in [(&root, 1), (&zero_root, 0)] {
+            let server = DebugServer::start_persistent(server_config(), persist(root))
+                .expect("restart");
+            prop_assert_eq!(
+                server.metrics_snapshot().fleet.checkpoint_restores,
+                restores,
+                "checkpoint restores right after the restart"
+            );
+            let handle = server.handle(id).expect("restored handle");
+            handle.wait_idle(WAIT).expect("restored run finishes");
+            // The whole snapshot: trace, clock, engine state, paused
+            // queue and counters (ids match, lag and budget are zero).
+            prop_assert_eq!(handle.snapshot(WAIT).expect("snapshot"), expected.clone());
+            prop_assert_eq!(stream_after_restart(&handle, &pre_kill), expected_stream.clone());
+
+            handle.run_for(MORE_NS).expect("send");
+            handle.wait_idle(WAIT).expect("idle");
+            prop_assert_eq!(handle.snapshot(WAIT).expect("snapshot"), expected_more.clone());
+            prop_assert_eq!(
+                stream_after_restart(&handle, &pre_kill),
+                expected_more_stream.clone()
+            );
+            drop(server);
+            std::fs::remove_dir_all(root).ok();
+        }
+    }
+}
+
+/// Trace segments are not fsynced but checkpoint images are, so after
+/// a power loss the newest image can be ahead of the recovered trace
+/// store. A restart must not restore such an image — the entries
+/// between the store's end and the image would never be written. With
+/// the store cut below the newest image it takes an older one, and the
+/// record stays byte-identical to an uninterrupted run.
+#[test]
+fn restart_skips_an_image_ahead_of_a_lost_trace_tail() {
+    const CAPACITY: u64 = 4;
+    const INTERVAL: u64 = 8;
+    let system = || ring_system("lost-tail", 3, 0.0008, 500_000);
+
+    // Long enough for several images.
+    let history = |handle: &SessionHandle| {
+        drive_paused_history(handle);
+        handle.run_for(40_000_000).expect("send");
+        handle.wait_idle(WAIT).expect("idle");
+    };
+
+    let reference = DebugServer::start(server_config());
+    let ref_handle = reference.add_session(spec_of(system()).build().expect("builds"));
+    history(&ref_handle);
+    let expected = ref_handle.snapshot(WAIT).expect("snapshot");
+    drop(reference);
+
+    let root = tmp_root("lost-tail");
+    let persist = || {
+        PersistConfig::new(&root)
+            .with_segment_capacity(CAPACITY as usize)
+            .with_checkpoint_interval(INTERVAL)
+    };
+    let id = {
+        let server = DebugServer::start_persistent(server_config(), persist()).expect("boots");
+        let handle = server
+            .add_durable_session(&spec_of(system()))
+            .expect("durable session");
+        history(&handle);
+        handle.id()
+    };
+
+    // Lose the trace tail: delete every segment from the one holding
+    // the entry just below the newest image on.
+    let seqs = checkpoint_seqs(&root, id);
+    assert!(seqs.len() >= 2, "need an older image: {seqs:?}");
+    let newest = *seqs.last().expect("newest image");
+    let kept_segments = (newest - 1) / CAPACITY;
+    let trace_dir = root
+        .join("sessions")
+        .join(format!("{id:016}"))
+        .join("trace");
+    for entry in std::fs::read_dir(&trace_dir).expect("trace dir") {
+        let path = entry.expect("dir entry").path();
+        let index = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .and_then(|n| n.strip_prefix("seg-"))
+            .and_then(|n| n.split('.').next())
+            .and_then(|n| n.parse::<u64>().ok());
+        if index.is_some_and(|i| i >= kept_segments) {
+            std::fs::remove_file(&path).expect("cut the trace");
+        }
+    }
+    let recovered = kept_segments * CAPACITY;
+    assert!(
+        recovered < newest,
+        "the store is cut below the newest image"
+    );
+    assert!(
+        seqs.iter().any(|&seq| seq <= recovered),
+        "an older image is still covered by the store: {seqs:?}, {recovered} entries"
+    );
+
+    let server = DebugServer::start_persistent(server_config(), persist()).expect("restart");
+    assert_eq!(
+        server.metrics_snapshot().fleet.checkpoint_restores,
+        1,
+        "restart restores the older image"
+    );
+    let handle = server.handle(id).expect("restored handle");
+    handle.wait_idle(WAIT).expect("lost tail regenerated");
+    assert_eq!(handle.snapshot(WAIT).expect("snapshot"), expected);
+    drop(server);
+    std::fs::remove_dir_all(&root).ok();
 }
 
 /// `FetchRange` and `ReplayFrom` page history correctly — in-process

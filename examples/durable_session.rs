@@ -6,11 +6,14 @@
 //! (spec + command journal + segmented on-disk trace under a registry
 //! directory), pumps part of a run, then **drops the server mid-run**
 //! — the simulated crash. A second server started over the same
-//! registry recreates the session, deterministically replays its
-//! command history, finishes the outstanding run budget, and serves
-//! the full trace — byte-identical to what an uninterrupted run would
-//! have recorded. Historical entries are paged from disk with
-//! `ReplayFrom`, the way a remote frontend backfills after a restart.
+//! registry recreates the session from its newest checkpoint image
+//! (here the run is shorter than one checkpoint interval, so there is
+//! none and the same code replays from t=0), deterministically replays
+//! the commands journaled after it, finishes the outstanding run
+//! budget, and serves the full trace — byte-identical to what an
+//! uninterrupted run would have recorded. Historical entries are paged
+//! from disk with `ReplayFrom`, the way a remote frontend backfills
+//! after a restart.
 
 use gmdf::{ChannelMode, SessionSpec, Workflow};
 use gmdf_codegen::{CompileOptions, InstrumentOptions};

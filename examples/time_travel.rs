@@ -4,10 +4,11 @@
 //! Run with `cargo run --example time_travel`.
 //!
 //! Boots a persistent `DebugServer` that writes a full-state checkpoint
-//! every 32 trace entries, hosts a durable blinker session, pumps part
+//! every 16 trace entries, hosts a durable blinker session, pumps part
 //! of a run and **drops the server mid-run** — the simulated crash. The
-//! second life restores the session, finishes the outstanding budget,
-//! and then travels backwards through the finished history:
+//! second life restores the session from its newest checkpoint image,
+//! finishes the outstanding budget, and then travels backwards through
+//! the finished history:
 //!
 //! * `seek_to(t)` restores the nearest checkpoint at or before `t` and
 //!   deterministically replays forward — O(checkpoint interval), not
@@ -129,8 +130,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // -- second life: restore, finish, then travel backwards ----------------
     let server = DebugServer::start_persistent(ServerConfig::default(), persist(&root))?;
+    let restores = server.metrics_snapshot().fleet.checkpoint_restores;
+    println!("[life 2] restored from {restores} checkpoint image(s)");
+    assert_eq!(restores, 1, "the restart should restore the newest image");
     let handle = server.handle(id).expect("session restored");
-    handle.wait_idle(WAIT)?; // deterministic replay + the outstanding 60 ms
+    handle.wait_idle(WAIT)?; // the outstanding 60 ms
     let snap = handle.snapshot(WAIT)?;
     println!(
         "[life 2] run complete at {} ms, trace length {}",
