@@ -15,7 +15,7 @@
 //! | embedded target (kernel, RS-232, JTAG) | [`gmdf_target`] |
 //! | GDM + abstraction (Figs. 3–4) | [`gmdf_gdm`] |
 //! | runtime engine, trace, replay | [`gmdf_engine`] |
-//! | canvas + timing diagrams | [`gmdf_render`] |
+//! | canvas + timing diagrams | `gmdf-render` |
 //!
 //! The [`Workflow`] type walks the five steps of paper Fig. 6 and ends in
 //! a live [`DebugSession`]:

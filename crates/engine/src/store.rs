@@ -1,6 +1,6 @@
 //! Pluggable trace storage: in-memory and segmented on-disk stores.
 //!
-//! The paper promises that GDM animation "always make[s] a record of the
+//! The paper promises that GDM animation "always make\[s\] a record of the
 //! execution trace"; for long runs that record must not cost O(whole
 //! run) memory or die with the process. [`TraceStore`] abstracts where
 //! [`TraceEntry`]s live; [`MemStore`] is the classic `Vec` (the
@@ -337,6 +337,28 @@ fn truncate_file(path: &Path, len: u64) -> Result<(), StoreError> {
     let f = OpenOptions::new().write(true).open(path)?;
     f.set_len(len)?;
     Ok(())
+}
+
+/// Replaces `path` with `bytes` crash-safely: writes the sibling
+/// `<file>.tmp`, fsyncs its data, then renames it over `path`. A kill or
+/// power loss at any point leaves either the old file or the whole new
+/// one (without the fsync the rename could land before the data), plus
+/// at worst a `.tmp` leftover; segment and checkpoint stores delete
+/// theirs when they open.
+///
+/// # Errors
+///
+/// Propagates I/O failures.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_data()?;
+    }
+    std::fs::rename(&tmp, path)
 }
 
 // ---------------------------------------------------------------------------
@@ -857,11 +879,6 @@ impl OffsetMemStore {
             entries: Vec::new(),
         }
     }
-
-    /// The fixed offset: sequence number of the first recordable entry.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
 }
 
 impl TraceStore for OffsetMemStore {
@@ -1067,20 +1084,10 @@ impl SegmentStore {
                 capacity,
                 codec: config.codec,
             };
-            // Write-fsync-rename so a kill (or power loss) mid-write
-            // cannot leave a half-written meta masquerading as the
-            // real one.
-            let tmp = dir.join("meta.json.tmp");
-            {
-                let mut f = File::create(&tmp)?;
-                f.write_all(
-                    serde_json::to_string(&meta)
-                        .expect("meta serializes")
-                        .as_bytes(),
-                )?;
-                f.sync_data()?;
-            }
-            std::fs::rename(&tmp, &meta_path)?;
+            // Atomic so a kill (or power loss) mid-write cannot leave a
+            // half-written meta masquerading as the real one.
+            let json = serde_json::to_string(&meta).expect("meta serializes");
+            write_atomic(&meta_path, json.as_bytes())?;
             (capacity, config.codec)
         };
 
@@ -1114,11 +1121,6 @@ impl SegmentStore {
     /// active).
     pub fn segment_count(&self) -> usize {
         self.sealed.len() + usize::from(!self.tail.is_empty())
-    }
-
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn disk_bytes(&self) -> u64 {
@@ -1522,13 +1524,7 @@ impl TraceStore for SegmentStore {
                 let idx = self.segment_index(meta.first_seq);
                 let raw = std::fs::read(self.segment_path(idx))?;
                 let packed = pack_segment(&raw);
-                let tmp = self.dir.join(format!("seg-{idx:08}.lgz.tmp"));
-                {
-                    let mut f = File::create(&tmp)?;
-                    f.write_all(&packed)?;
-                    f.sync_data()?;
-                }
-                std::fs::rename(&tmp, self.compressed_path(idx))?;
+                write_atomic(&self.compressed_path(idx), &packed)?;
                 std::fs::remove_file(self.segment_path(idx))?;
                 report.compacted_segments = 1;
                 report.reclaimed_bytes += meta.bytes.saturating_sub(packed.len() as u64);
@@ -1654,11 +1650,6 @@ impl CheckpointStore {
         Ok(CheckpointStore { dir, metas })
     }
 
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Retained checkpoints, ascending by sequence.
     pub fn metas(&self) -> &[CheckpointMeta] {
         &self.metas
@@ -1685,34 +1676,12 @@ impl CheckpointStore {
         self.metas.last().copied()
     }
 
-    /// The newest checkpoint taken at or before simulation time
-    /// `t_ns` — the anchor for `SeekTo{t_ns}`.
-    pub fn nearest_at_or_before_time(&self, t_ns: u64) -> Option<CheckpointMeta> {
-        let pos = self.metas.partition_point(|m| m.t_ns <= t_ns);
-        pos.checked_sub(1).map(|i| self.metas[i])
-    }
-
-    /// The newest checkpoint taken strictly before `t_ns` — the anchor
-    /// for `ReplayWindow{t0,..}`, which must *regenerate* (not skip)
-    /// entries at exactly `t0`.
-    pub fn nearest_before_time(&self, t_ns: u64) -> Option<CheckpointMeta> {
-        let pos = self.metas.partition_point(|m| m.t_ns < t_ns);
-        pos.checked_sub(1).map(|i| self.metas[i])
-    }
-
-    /// The newest checkpoint whose trace position is at or below
-    /// `seq` — the anchor for `StepBack`.
-    pub fn nearest_at_or_before_seq(&self, seq: u64) -> Option<CheckpointMeta> {
-        let pos = self.metas.partition_point(|m| m.seq <= seq);
-        pos.checked_sub(1).map(|i| self.metas[i])
-    }
-
     fn path_for(&self, seq: u64, t_ns: u64) -> PathBuf {
         self.dir.join(format!("ckpt-{seq:016}-{t_ns:020}.ck"))
     }
 
     /// Persists one checkpoint payload under `(seq, t_ns)` crash-safely
-    /// (write `.tmp`, fsync, rename). Returns the file size written.
+    /// ([`write_atomic`]). Returns the file size written.
     ///
     /// # Errors
     ///
@@ -1724,14 +1693,7 @@ impl CheckpointStore {
         image.push(CKPT_CODEC_JSON);
         image.extend_from_slice(&frame_len(payload.len())?);
         image.extend_from_slice(payload);
-        let path = self.path_for(seq, t_ns);
-        let tmp = path.with_extension("ck.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&image)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, &path)?;
+        write_atomic(&self.path_for(seq, t_ns), &image)?;
         match self
             .metas
             .iter()
@@ -2387,7 +2349,6 @@ mod tests {
         let dir = tmp_dir("ckpt");
         let mut c = CheckpointStore::open(&dir).unwrap();
         assert!(c.is_empty());
-        assert_eq!(c.nearest_at_or_before_time(u64::MAX), None);
         for (seq, t) in [(10u64, 1000u64), (20, 2000), (30, 3000)] {
             let payload = format!("{{\"seq\":{seq}}}");
             let written = c.save(seq, t, payload.as_bytes()).unwrap();
@@ -2395,17 +2356,10 @@ mod tests {
         }
         assert_eq!(c.oldest_seq(), Some(10));
         assert_eq!(c.latest().unwrap().seq, 30);
-        // Selection semantics.
-        assert_eq!(c.nearest_at_or_before_time(2000).unwrap().seq, 20);
-        assert_eq!(c.nearest_before_time(2000).unwrap().seq, 10);
-        assert_eq!(c.nearest_at_or_before_time(1999).unwrap().seq, 10);
-        assert_eq!(c.nearest_at_or_before_time(999), None);
-        assert_eq!(c.nearest_at_or_before_seq(29).unwrap().seq, 20);
-        assert_eq!(c.nearest_at_or_before_seq(30).unwrap().seq, 30);
         // Payloads round-trip, and the index survives reopen.
         let c2 = CheckpointStore::open(&dir).unwrap();
         assert_eq!(c2.metas(), c.metas());
-        let meta = c2.nearest_at_or_before_time(2500).unwrap();
+        let meta = c2.metas()[1];
         assert_eq!(c2.load(&meta).unwrap(), b"{\"seq\":20}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2435,7 +2389,7 @@ mod tests {
         std::fs::write(&newest, &image[..image.len() - 3]).unwrap();
         let c = CheckpointStore::open(&dir).unwrap();
         assert_eq!(c.len(), 1);
-        let meta = c.nearest_at_or_before_time(u64::MAX).unwrap();
+        let meta = c.latest().unwrap();
         assert_eq!(meta.seq, 10);
         assert_eq!(c.load(&meta).unwrap(), b"good-old");
         std::fs::remove_dir_all(&dir).ok();

@@ -21,14 +21,21 @@
 //! Restore leans entirely on determinism: the simulator, the code
 //! generator and slice pumping are all bit-exact, so *spec + journal*
 //! is the session, and a checkpoint image under `checkpoints/` is a
-//! shortcut into it. Restart and time-travel seeks rebuild a session
-//! the same way: [`newest_image`] picks the newest usable checkpoint
-//! (each caller says which images it can use), and [`rebuild`]
-//! restores it, attaches a trace store at the image's trace position,
-//! and [`replay`]s the journal after the image's position — each
-//! mutation re-applied at the exact target time it originally took
-//! effect, with the simulator pumped up to that instant in between.
-//! With no usable image the same code replays from time zero.
+//! shortcut into it. In memory, a hosted durable session holds all of
+//! this as one [`Durable`] value: the spec, the [`Journal`] with its
+//! records, and the checkpoint store. `spec.json` and `journal.log` are
+//! read once, when [`restore_session`] recreates the session; after
+//! that the journal is only appended to.
+//!
+//! Restart and time-travel seeks rebuild a session the same way:
+//! [`newest_image`] picks the newest usable checkpoint (each caller
+//! says which images it can use), and [`rebuild`] restores it, attaches
+//! a trace store at the image's trace position, and [`replay`]s the
+//! journal after the image's position — each mutation re-applied at the
+//! exact target time it originally took effect, with the simulator
+//! pumped up to that instant in between. With no usable image the same
+//! code replays from time zero. A seek takes the spec and the records
+//! from the [`Durable`] value; the only file it reads is the image.
 //!
 //! [`restore_session`] restarts from the newest image the recovered
 //! trace store covers, so a restart costs one checkpoint interval of
@@ -40,8 +47,9 @@
 //! restart never happened.
 
 use crate::metrics::MetricsRegistry;
+use crate::PersistConfig;
 use gmdf::{DebugSession, Mutation, SessionSpec};
-use gmdf_engine::store::{encode_record, read_records, SegmentConfig, SegmentStore};
+use gmdf_engine::store::{encode_record, read_records, write_atomic, SegmentStore};
 use gmdf_engine::{CheckpointMeta, CheckpointStore, EngineNotice, TraceStore};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
@@ -60,52 +68,122 @@ pub(crate) struct JournalRecord {
     pub command: Mutation,
 }
 
-/// Append-only command journal for one durable session.
+/// The append-only command journal of one durable session, and the
+/// records it holds. It owns the file format (`[u32 len BE][JSON
+/// record]` frames, see [`encode_record`]) and its crash recovery: a
+/// record cut mid-append was never acknowledged, so
+/// [`Journal::open`] drops it. [`Journal::records`] is the replayable
+/// history that restart and seeks rebuild from.
 #[derive(Debug)]
 pub(crate) struct Journal {
     file: File,
+    records: Vec<JournalRecord>,
+    /// Test hook: the next append writes only this many bytes of its
+    /// record and then fails, as a full disk would.
+    #[cfg(test)]
+    tear_next: Option<usize>,
 }
 
 impl Journal {
     /// Opens (creating if needed) the journal at `path` for appending.
-    pub fn open(path: &Path) -> std::io::Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Journal { file })
+    /// Reads its whole, decodable records and truncates the file after
+    /// them, so a torn tail record is gone before anything is appended
+    /// behind it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the file cannot be opened, read or
+    /// truncated.
+    pub fn open(path: &Path) -> Result<Self, String> {
+        let file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .map_err(|e| format!("cannot open journal: {e}"))?;
+        let (records, valid_len) =
+            read_records::<JournalRecord>(path).map_err(|e| format!("cannot read journal: {e}"))?;
+        let file_len = file.metadata().map_err(|e| e.to_string())?.len();
+        if valid_len < file_len {
+            file.set_len(valid_len).map_err(|e| e.to_string())?;
+        }
+        Ok(Journal {
+            file,
+            records,
+            #[cfg(test)]
+            tear_next: None,
+        })
+    }
+
+    /// The valid records, oldest first: those read at open plus every
+    /// successful append since.
+    pub fn records(&self) -> &[JournalRecord] {
+        &self.records
     }
 
     /// Appends one record and fsyncs it — mutations are rare and each
     /// must survive a crash (including an OS crash or power loss) that
-    /// happens right after it was accepted.
+    /// happens right after it was accepted. The record joins
+    /// [`Journal::records`] only once it is on disk.
     pub fn append(&mut self, at_ns: u64, mutation: &Mutation) -> std::io::Result<()> {
-        let record = encode_record(&JournalRecord {
+        let record = JournalRecord {
             at_ns,
             command: mutation.clone(),
-        })
-        .map_err(|e| std::io::Error::other(e.to_string()))?;
-        self.file.write_all(&record)?;
-        self.file.sync_data()
+        };
+        let bytes = encode_record(&record).map_err(|e| std::io::Error::other(e.to_string()))?;
+        #[cfg(test)]
+        if let Some(keep) = self.tear_next.take() {
+            self.file.write_all(&bytes[..keep.min(bytes.len())])?;
+            return Err(std::io::Error::other("no space left on device (injected)"));
+        }
+        self.file.write_all(&bytes)?;
+        self.file.sync_data()?;
+        self.records.push(record);
+        Ok(())
     }
 
-    /// A journal over a read-only handle of `path`, so every append
+    /// The journal at `path` over a read-only handle, so every append
     /// fails — for testing how the server handles a journal write error.
     #[cfg(test)]
     pub fn failing(path: &Path) -> std::io::Result<Self> {
+        let journal = Journal::open(path).map_err(std::io::Error::other)?;
         Ok(Journal {
             file: File::open(path)?,
+            ..journal
         })
     }
+
+    /// Makes the next append write only `keep` bytes of its record and
+    /// fail; later appends succeed (a full disk that gets space back).
+    #[cfg(test)]
+    pub fn tear_next_append(&mut self, keep: usize) {
+        self.tear_next = Some(keep);
+    }
+}
+
+/// Everything durable about one hosted session, held in memory: the
+/// spec it was built from, its journal and journaled records, and its
+/// checkpoint images. A hosted session is durable exactly when it owns
+/// one; restart builds it from the session directory and seeks rebuild
+/// from it.
+#[derive(Debug)]
+pub(crate) struct Durable {
+    /// The spec the session (and every replica of it) is built from.
+    pub spec: SessionSpec,
+    /// The command journal; its length is the position a checkpoint
+    /// records as its [`ServerCheckpoint::journal_pos`].
+    pub journal: Journal,
+    /// The session's checkpoint images; `None` when the directory could
+    /// not be opened at restore, which leaves the session
+    /// checkpoint-less (restored, and seeking, from time zero). Its
+    /// newest image marks where the next checkpoint interval starts.
+    pub checkpoints: Option<CheckpointStore>,
+    /// Trace entries between checkpoints; `0` disables checkpointing.
+    pub checkpoint_interval: u64,
 }
 
 /// Directory of one session's persisted state.
 pub(crate) fn session_dir(root: &Path, id: u64) -> PathBuf {
     root.join("sessions").join(format!("{id:016}"))
-}
-
-/// Directory of one durable session's periodic full-state checkpoints
-/// (`ckpt-<seq>-<t_ns>.ck` files — see
-/// [`gmdf_engine::CheckpointStore`]).
-pub(crate) fn checkpoint_dir(root: &Path, id: u64) -> PathBuf {
-    session_dir(root, id).join("checkpoints")
 }
 
 /// The payload of one on-disk checkpoint: the session's full serialized
@@ -121,52 +199,33 @@ pub(crate) struct ServerCheckpoint {
     pub session: gmdf::SessionCheckpoint,
 }
 
-/// Loads and parses one session directory's `spec.json`.
-pub(crate) fn load_spec(dir: &Path) -> Result<SessionSpec, String> {
-    let spec_text = std::fs::read_to_string(dir.join("spec.json"))
-        .map_err(|e| format!("cannot read spec.json: {e}"))?;
-    serde_json::from_str(&spec_text).map_err(|e| format!("corrupt spec.json: {e}"))
-}
-
-/// Reads the valid prefix of one session directory's journal. A torn
-/// tail record is ignored (not truncated — that is
-/// [`restore_session`]'s job; seeks are read-only observers).
-pub(crate) fn read_journal(dir: &Path) -> Result<Vec<JournalRecord>, String> {
-    let path = dir.join("journal.log");
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    let (records, _valid_len) =
-        read_records::<JournalRecord>(&path).map_err(|e| format!("cannot read journal: {e}"))?;
-    Ok(records)
-}
-
 /// Creates a fresh durable-session directory: writes the spec
-/// (atomically) and returns the opened journal and trace store.
-pub(crate) fn create_session_dir(
-    root: &Path,
+/// atomically and opens the journal, the checkpoint store and the trace
+/// store. Returns the session's durable record and its (empty) trace
+/// store.
+pub(crate) fn create_session(
+    config: &PersistConfig,
     id: u64,
     spec: &SessionSpec,
-    store_config: SegmentConfig,
-) -> Result<(Journal, SegmentStore), String> {
-    let dir = session_dir(root, id);
+) -> Result<(Durable, SegmentStore), String> {
+    let dir = session_dir(&config.root, id);
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+    // Atomic: a spec torn by a power loss would quarantine the session
+    // forever even though its journal survived.
     let spec_json = serde_json::to_string_pretty(spec).expect("spec serializes");
-    // Write-fsync-rename: without the fsync the rename can land before
-    // the data on power loss, leaving an empty spec that would
-    // quarantine the session forever even though its journal survived.
-    let tmp = dir.join("spec.json.tmp");
-    {
-        let mut f = File::create(&tmp).map_err(|e| e.to_string())?;
-        f.write_all(spec_json.as_bytes())
-            .map_err(|e| e.to_string())?;
-        f.sync_data().map_err(|e| e.to_string())?;
-    }
-    std::fs::rename(&tmp, dir.join("spec.json")).map_err(|e| e.to_string())?;
-    let journal = Journal::open(&dir.join("journal.log")).map_err(|e| e.to_string())?;
-    let store =
-        SegmentStore::open_with(dir.join("trace"), store_config).map_err(|e| e.to_string())?;
-    Ok((journal, store))
+    write_atomic(&dir.join("spec.json"), spec_json.as_bytes()).map_err(|e| e.to_string())?;
+    let journal = Journal::open(&dir.join("journal.log"))?;
+    let store = SegmentStore::open_with(dir.join("trace"), config.segment_config())
+        .map_err(|e| e.to_string())?;
+    let checkpoints = CheckpointStore::open(dir.join("checkpoints"))
+        .map_err(|e| format!("cannot open checkpoint store: {e}"))?;
+    let durable = Durable {
+        spec: spec.clone(),
+        journal,
+        checkpoints: Some(checkpoints),
+        checkpoint_interval: config.checkpoint_interval,
+    };
+    Ok((durable, store))
 }
 
 /// Session ids persisted under `root`, in ascending order.
@@ -306,28 +365,14 @@ pub(crate) fn rebuild(
 pub(crate) struct RestoredSession {
     pub session: DebugSession,
     pub notices: mpsc::Receiver<EngineNotice>,
-    pub journal: Journal,
-    /// The session's checkpoint images, opened once here; `None` when
-    /// the directory could not be opened, which leaves the session
-    /// checkpoint-less (restored and seeking from time zero).
-    pub checkpoints: Option<CheckpointStore>,
+    pub durable: Durable,
     /// Run budget granted by the whole journal but not yet consumed —
     /// the scheduler finishes it. The records before the restored
     /// image's position are not replayed, but their budget counts.
     pub remaining_ns: u64,
-    /// Counters read off the restored engine (its checkpointed stats,
-    /// paused queue and violations, advanced by the replay), so
-    /// snapshots after a restart report the same totals as an
-    /// uninterrupted run.
-    pub events_fed: u64,
-    pub violations: u64,
-    pub breakpoint_hits: u64,
     /// Where delta publication resumes (everything before is history,
     /// served via `FetchRange`/`ReplayFrom`).
     pub trace_cursor: u64,
-    /// Records in the (torn-tail-truncated) journal — the position new
-    /// checkpoints record as their [`ServerCheckpoint::journal_pos`].
-    pub journal_len: u64,
 }
 
 /// Rebuilds one durable session from `<root>/sessions/<id>`: from the
@@ -345,53 +390,45 @@ pub(crate) struct RestoredSession {
 /// unreadable, or the deterministic replay fails (it cannot for state
 /// persisted by this code, barring on-disk tampering).
 pub(crate) fn restore_session(
-    root: &Path,
+    config: &PersistConfig,
     id: u64,
-    store_config: SegmentConfig,
     registry: &MetricsRegistry,
 ) -> Result<RestoredSession, String> {
-    let dir = session_dir(root, id);
-    let spec = load_spec(&dir).map_err(|e| format!("session {id}: {e}"))?;
+    let dir = session_dir(&config.root, id);
+    let spec: SessionSpec = std::fs::read_to_string(dir.join("spec.json"))
+        .map_err(|e| format!("session {id}: cannot read spec.json: {e}"))
+        .and_then(|text| {
+            serde_json::from_str(&text).map_err(|e| format!("session {id}: corrupt spec.json: {e}"))
+        })?;
 
     // The store's own meta.json codec wins over the configured one, so
     // a fleet reconfigured to a new codec still reopens old session
     // directories correctly.
-    let store = SegmentStore::open_with(dir.join("trace"), store_config)
+    let store = SegmentStore::open_with(dir.join("trace"), config.segment_config())
         .map_err(|e| format!("session {id}: trace recovery failed: {e}"))?;
-
-    // Recover the journal, truncating any torn tail record (a command
-    // cut mid-append was never acknowledged; dropping it is correct).
-    let journal_path = dir.join("journal.log");
-    let mut records: Vec<JournalRecord> = Vec::new();
-    if journal_path.exists() {
-        let (recovered, valid_len) = read_records::<JournalRecord>(&journal_path)
-            .map_err(|e| format!("session {id}: cannot read journal: {e}"))?;
-        let file_len = std::fs::metadata(&journal_path)
-            .map_err(|e| e.to_string())?
-            .len();
-        if valid_len < file_len {
-            let f = OpenOptions::new()
-                .write(true)
-                .open(&journal_path)
-                .map_err(|e| e.to_string())?;
-            f.set_len(valid_len).map_err(|e| e.to_string())?;
-        }
-        records = recovered;
-    }
+    let journal =
+        Journal::open(&dir.join("journal.log")).map_err(|e| format!("session {id}: {e}"))?;
 
     // A checkpoint store that fails to open degrades the session to
     // checkpoint-less rather than quarantining it — checkpoints are
     // derived state, the journal is the truth.
-    let checkpoints = CheckpointStore::open(checkpoint_dir(root, id)).ok();
+    let checkpoints = CheckpointStore::open(dir.join("checkpoints")).ok();
     let stored = store.len();
+    let records = journal.records();
     let image = checkpoints
         .as_ref()
         .and_then(|cs| newest_image(cs, records.len(), registry, |m| m.seq <= stored))
         .map(|(_, image)| image);
-    let (mut session, _) = rebuild(&spec, image.as_ref(), Box::new(store), &records, u64::MAX)
+    let (mut session, _) = rebuild(&spec, image.as_ref(), Box::new(store), records, u64::MAX)
         .map_err(|e| format!("session {id}: {e}"))?;
-    // Subscribed after the replay: its notices are history, and the
-    // counters below already include them.
+    // Segments still referenced by the oldest retained checkpoint must
+    // outlive retention eviction: a seek replays forward from that
+    // checkpoint and pages its window out of the persisted prefix.
+    if let Some(oldest) = checkpoints.as_ref().and_then(CheckpointStore::oldest_seq) {
+        session.set_trace_retain_floor(oldest);
+    }
+    // Subscribed after the replay: its notices are history, already
+    // counted in the engine.
     let notices = session.engine_mut().subscribe();
 
     let granted_ns = records
@@ -401,23 +438,17 @@ pub(crate) fn restore_session(
             _ => None,
         })
         .fold(0u64, u64::saturating_add);
-    let engine = session.engine();
-    let stats = engine.stats();
-    let events_fed = stats.events_processed + engine.pending() as u64;
-    let violations = engine.violations().len() as u64;
-    let trace_cursor = engine.trace().len() as u64;
-    let journal = Journal::open(&journal_path).map_err(|e| e.to_string())?;
     Ok(RestoredSession {
         remaining_ns: granted_ns.saturating_sub(session.now_ns()),
+        trace_cursor: session.engine().trace().len() as u64,
         session,
         notices,
-        journal,
-        checkpoints,
-        events_fed,
-        violations,
-        breakpoint_hits: stats.breakpoint_hits,
-        trace_cursor,
-        journal_len: records.len() as u64,
+        durable: Durable {
+            spec,
+            journal,
+            checkpoints,
+            checkpoint_interval: config.checkpoint_interval,
+        },
     })
 }
 
@@ -443,7 +474,7 @@ mod tests {
 
     /// Golden bytes, both directions: each literal decodes and
     /// re-encodes to itself, `Journal::append` writes exactly the
-    /// length-prefixed literals, and `read_journal` reads them back.
+    /// length-prefixed literals, and `Journal::open` reads them back.
     #[test]
     fn journal_records_match_the_golden_bytes() {
         let dir = std::env::temp_dir().join(format!("gmdf-journal-golden-{}", std::process::id()));
@@ -463,8 +494,9 @@ mod tests {
         }
         let on_disk = std::fs::read(dir.join("journal.log")).expect("read journal file");
         assert_eq!(on_disk, expected);
-        let read_back: Vec<String> = read_journal(&dir)
+        let read_back: Vec<String> = Journal::open(&dir.join("journal.log"))
             .expect("read journal")
+            .records()
             .iter()
             .map(|record| serde_json::to_string(record).expect("serializes"))
             .collect();

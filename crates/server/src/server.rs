@@ -33,7 +33,7 @@ use gmdf_analyze::AnalysisReport;
 use gmdf_comdes::SignalValue;
 use gmdf_engine::store::DEFAULT_SEGMENT_CAPACITY;
 use gmdf_engine::{
-    CheckpointMeta, CheckpointStore, Codec, EngineNotice, ExecutionTrace, MemStore, OffsetMemStore,
+    CheckpointMeta, Codec, DebuggerEngine, EngineNotice, ExecutionTrace, MemStore, OffsetMemStore,
     Retention, SegmentConfig, StoreError, TraceEntry,
 };
 use gmdf_gdm::CommandMatcher;
@@ -369,42 +369,25 @@ impl fmt::Display for ServerError {
 impl std::error::Error for ServerError {}
 
 /// Mutable per-session state, owned by whichever thread holds the lock.
+/// The session's counters (events fed, violations, breakpoint hits)
+/// are not copied here: the engine keeps them, and readers take them
+/// from it.
 #[derive(Debug)]
 struct SessionInner {
     session: DebugSession,
-    /// Engine-level notification hook (violations, breakpoint hits).
+    /// Engine-level notification hook (breakpoint hits).
     notices: mpsc::Receiver<EngineNotice>,
     /// Run budget not yet consumed.
     remaining_ns: u64,
-    /// Per-turn slice budget.
-    slice_ns: u64,
     /// First trace sequence number subscribers have not seen yet.
     trace_cursor: u64,
     subscribers: Vec<EventSender>,
-    events_fed: u64,
-    violations: u64,
-    breakpoint_hits: u64,
+    /// Set once the session fails; from then on it drops mutations and
+    /// only answers queries.
     failed: Option<String>,
-    /// Durable sessions journal every state-affecting command here
-    /// before applying it; `None` for in-memory sessions.
-    journal: Option<persist::Journal>,
-    /// Records appended to (or restored from) the journal so far — the
-    /// position a checkpoint records as its
-    /// [`persist::ServerCheckpoint::journal_pos`].
-    journal_len: u64,
-    /// Periodic full-state checkpoints for O(interval) time travel and
-    /// restarts; `None` for in-memory sessions (and for durable
-    /// sessions whose checkpoint directory failed to open on restore —
-    /// seeks then fall back to replay-from-zero).
-    checkpoints: Option<CheckpointStore>,
-    /// Trace entries between checkpoints; `0` disables checkpointing.
-    checkpoint_interval: u64,
-    /// Trace length at the last written checkpoint.
-    last_checkpoint_len: u64,
-    /// The durable session's directory (spec + journal live here);
-    /// `None` for in-memory sessions. Seeks re-read both to build the
-    /// replica.
-    dir: Option<PathBuf>,
+    /// The spec, journal and checkpoints of a durable session; `None`
+    /// for an in-memory one.
+    durable: Option<persist::Durable>,
     /// Cumulative events dropped by this session's bounded subscriber
     /// queues — each queue holds a clone, so drops survive the queue
     /// that suffered them. Always on (it feeds
@@ -413,6 +396,34 @@ struct SessionInner {
     lagged: Counter,
     /// Wall-clock instant of the last pumped slice (metrics only).
     last_slice: Option<Instant>,
+}
+
+impl SessionInner {
+    /// The state of a session that has just been handed to the server:
+    /// no run budget, nothing published, no subscribers.
+    fn new(
+        session: DebugSession,
+        notices: mpsc::Receiver<EngineNotice>,
+        durable: Option<persist::Durable>,
+    ) -> Self {
+        SessionInner {
+            session,
+            notices,
+            remaining_ns: 0,
+            trace_cursor: 0,
+            subscribers: Vec::new(),
+            failed: None,
+            durable,
+            lagged: Counter::new(),
+            last_slice: None,
+        }
+    }
+}
+
+/// Events the engine has been fed: those it processed plus those still
+/// queued behind a pause.
+fn events_fed(engine: &DebuggerEngine) -> u64 {
+    engine.stats().events_processed + engine.pending() as u64
 }
 
 /// One hosted session: state + mailbox + scheduling flags.
@@ -470,7 +481,8 @@ struct Shared {
     shards: Vec<Shard>,
     shutdown: AtomicBool,
     next_id: AtomicU64,
-    default_slice_ns: u64,
+    /// Per-turn slice budget ([`ServerConfig::slice_ns`]).
+    slice_ns: u64,
     default_subscriber_capacity: usize,
     /// The observability registry every layer records into (disabled =
     /// all recording sites skipped).
@@ -557,39 +569,20 @@ impl DebugServer {
             // Reserve the id either way: a fresh session must never be
             // created over a quarantined directory.
             server.shared.next_id.fetch_max(id + 1, Ordering::SeqCst);
-            let restored = persist::restore_session(
-                &persist.root,
-                id,
-                persist.segment_config(),
-                &server.shared.metrics,
-            );
-            match restored {
+            match persist::restore_session(&persist, id, &server.shared.metrics) {
                 Ok(restored) => {
-                    let dir = persist::session_dir(&persist.root, id);
-                    let checkpoint_interval = persist.checkpoint_interval;
-                    server.register(id, restored.session, restored.notices, |inner| {
-                        inner.remaining_ns = restored.remaining_ns;
-                        inner.trace_cursor = restored.trace_cursor;
-                        inner.events_fed = restored.events_fed;
-                        inner.violations = restored.violations;
-                        inner.breakpoint_hits = restored.breakpoint_hits;
-                        inner.journal = Some(restored.journal);
-                        inner.journal_len = restored.journal_len;
-                        inner.dir = Some(dir);
-                        inner.checkpoint_interval = checkpoint_interval;
-                        if let Some(cs) = restored.checkpoints {
-                            inner.last_checkpoint_len = cs.latest().map_or(0, |m| m.seq);
-                            // Segments still referenced by the oldest
-                            // retained checkpoint must outlive retention
-                            // eviction: a seek replays forward from that
-                            // checkpoint and pages its window out of the
-                            // persisted prefix.
-                            if let Some(oldest) = cs.oldest_seq() {
-                                inner.session.set_trace_retain_floor(oldest);
-                            }
-                            inner.checkpoints = Some(cs);
-                        }
-                    });
+                    server.register(
+                        id,
+                        SessionInner {
+                            remaining_ns: restored.remaining_ns,
+                            trace_cursor: restored.trace_cursor,
+                            ..SessionInner::new(
+                                restored.session,
+                                restored.notices,
+                                Some(restored.durable),
+                            )
+                        },
+                    );
                 }
                 Err(message) => server.quarantined.push((id, message)),
             }
@@ -621,7 +614,7 @@ impl DebugServer {
                 .collect(),
             shutdown: AtomicBool::new(false),
             next_id: AtomicU64::new(0),
-            default_slice_ns: config.slice_ns.max(1),
+            slice_ns: config.slice_ns.max(1),
             default_subscriber_capacity: config.subscriber_capacity,
             metrics: Arc::new(registry),
             auth_token: config.auth_token,
@@ -672,7 +665,7 @@ impl DebugServer {
     pub fn add_session(&self, mut session: DebugSession) -> SessionHandle {
         let id = self.shared.next_id.fetch_add(1, Ordering::SeqCst);
         let notices = session.engine_mut().subscribe();
-        self.register(id, session, notices, |_| {})
+        self.register(id, SessionInner::new(session, notices, None))
     }
 
     /// Builds a **durable** session from `spec` and registers it. The
@@ -697,61 +690,24 @@ impl DebugServer {
             .build()
             .map_err(|e| ServerError::SessionFailed(e.to_string()))?;
         let id = self.shared.next_id.fetch_add(1, Ordering::SeqCst);
-        let (journal, store) =
-            persist::create_session_dir(&persist.root, id, spec, persist.segment_config())
-                .map_err(ServerError::Persist)?;
-        let checkpoints = CheckpointStore::open(persist::checkpoint_dir(&persist.root, id))
-            .map_err(|e| ServerError::Persist(format!("cannot open checkpoint store: {e}")))?;
+        let (durable, store) =
+            persist::create_session(persist, id, spec).map_err(ServerError::Persist)?;
         session.set_trace_store(Box::new(store));
         let notices = session.engine_mut().subscribe();
-        let dir = persist::session_dir(&persist.root, id);
-        let checkpoint_interval = persist.checkpoint_interval;
-        Ok(self.register(id, session, notices, |inner| {
-            inner.journal = Some(journal);
-            inner.checkpoints = Some(checkpoints);
-            inner.checkpoint_interval = checkpoint_interval;
-            inner.dir = Some(dir);
-        }))
+        Ok(self.register(id, SessionInner::new(session, notices, Some(durable))))
     }
 
-    /// Registers a cell for `session` under `id`, applying `init` to
-    /// the fresh state (restored budgets, counters, journal). A cell
-    /// left with run budget is scheduled immediately.
-    fn register(
-        &self,
-        id: SessionId,
-        session: DebugSession,
-        notices: mpsc::Receiver<EngineNotice>,
-        init: impl FnOnce(&mut SessionInner),
-    ) -> SessionHandle {
+    /// Registers a cell for the session state `inner` under `id`. A
+    /// cell left with run budget is scheduled immediately.
+    fn register(&self, id: SessionId, mut inner: SessionInner) -> SessionHandle {
         let shard = (id as usize) % self.shared.shards.len();
+        let session = &inner.session;
         let analysis = Arc::new(session.analyze().unwrap_or_else(|e| {
             AnalysisReport::from_failure(&session.simulator().image().system, e.to_string())
         }));
-        let mut inner = SessionInner {
-            session,
-            notices,
-            remaining_ns: 0,
-            slice_ns: self.shared.default_slice_ns,
-            trace_cursor: 0,
-            subscribers: Vec::new(),
-            events_fed: 0,
-            violations: 0,
-            breakpoint_hits: 0,
-            failed: None,
-            journal: None,
-            journal_len: 0,
-            checkpoints: None,
-            checkpoint_interval: 0,
-            last_checkpoint_len: 0,
-            dir: None,
-            lagged: Counter::new(),
-            last_slice: None,
-        };
-        init(&mut inner);
-        // After `init`: a durable/restored session has already swapped
-        // its trace store in, which builds a fresh trace without a
-        // metrics sink — attach it last.
+        // Here, not before: a durable or restored session's trace store
+        // was swapped in by the caller, which builds a fresh trace
+        // without a metrics sink.
         if self.shared.metrics.enabled() {
             inner
                 .session
@@ -876,9 +832,11 @@ impl DebugServer {
         let mut sessions = Vec::with_capacity(cells.len() + self.quarantined.len());
         for cell in &cells {
             let inner = lock(&cell.inner);
-            let store_stats = inner.session.engine().trace().store_stats();
+            let engine = inner.session.engine();
+            let store_stats = engine.trace().store_stats();
             let (memo_hits, memo_misses) = inner.session.simulator().memo_stats();
-            fleet.events_fed += inner.events_fed;
+            let fed = events_fed(engine);
+            fleet.events_fed += fed;
             fleet.lagged_drops += inner.lagged.get();
             fleet.trace_segments += store_stats.segments;
             fleet.trace_disk_bytes += store_stats.disk_bytes;
@@ -892,12 +850,12 @@ impl DebugServer {
                 uptime_ms: cell.registered_at.elapsed().as_millis() as u64,
                 last_slice_age_ms: inner.last_slice.map(|t| t.elapsed().as_millis() as u64),
                 now_ns: inner.session.now_ns(),
-                trace_len: inner.session.engine().trace().len() as u64,
+                trace_len: engine.trace().len() as u64,
                 trace_segments: store_stats.segments,
                 trace_bytes: store_stats.disk_bytes,
-                events_fed: inner.events_fed,
-                violations: inner.violations,
-                breakpoint_hits: inner.breakpoint_hits,
+                events_fed: fed,
+                violations: engine.violations().len() as u64,
+                breakpoint_hits: engine.stats().breakpoint_hits,
                 lagged_drops: inner.lagged.get(),
                 remaining_ns: inner.remaining_ns,
                 subscribers: inner.subscribers.len() as u64,
@@ -1001,6 +959,12 @@ impl SessionHandle {
     /// Posts a [`Mutation`] to the session's mailbox and wakes its
     /// shard. It is applied, in arrival order, at the session's next
     /// scheduling turn.
+    ///
+    /// A failed session drops mutations: it neither journals nor
+    /// applies them, and only answers queries. Its journal may end in a
+    /// torn record, and a restart stops reading there, so anything
+    /// journaled behind the tear would be lost while its effect (trace
+    /// entries a `Resume` drained) survived.
     ///
     /// # Errors
     ///
@@ -1445,18 +1409,19 @@ fn run_turn(shared: &Shared, cell: &Arc<SessionCell>) {
     }
     for item in mail {
         match item {
+            // See `SessionHandle::send`: a failed session drops mutations.
+            Mail::Mutate(_) if inner.failed.is_some() => {}
             Mail::Mutate(mutation) => apply_mutation(&mut inner, cell.id, &mutation, registry),
             Mail::Query(query, reply) => answer(&mut inner, cell.id, query, &reply, registry),
         }
     }
     let mut pumped = false;
     if inner.failed.is_none() && inner.remaining_ns > 0 {
-        let dt = inner.slice_ns.min(inner.remaining_ns);
+        let dt = shared.slice_ns.min(inner.remaining_ns);
         let slice_t0 = observed.then(Instant::now);
         match inner.session.run_slice(dt) {
             Ok(report) => {
                 inner.remaining_ns -= dt;
-                inner.events_fed += report.events_fed as u64;
                 if let Some(t0) = slice_t0 {
                     let shard = &registry.shards[cell.shard];
                     shard.slices.inc();
@@ -1533,7 +1498,9 @@ fn run_turn(shared: &Shared, cell: &Arc<SessionCell>) {
 /// the journal at worst ahead of the session, and replay regenerates
 /// the effect. Only mutations the session accepts may enter the journal
 /// (a rejected one in the replayable history would re-fail every later
-/// restore), so the read-only `check` runs before the write.
+/// restore), so the read-only `check` runs before the write. A journal
+/// write failure fails the session with the mutation unapplied: its
+/// durable history could no longer be trusted to match its state.
 fn apply_mutation(
     inner: &mut SessionInner,
     id: SessionId,
@@ -1544,9 +1511,22 @@ fn apply_mutation(
         fail(inner, id, &e.to_string());
         return;
     }
-    let at_ns = inner.session.now_ns();
-    if !journal_mutation(inner, id, at_ns, mutation, registry) {
-        return;
+    if let Some(durable) = inner.durable.as_mut() {
+        // Timed here (not inside `Journal`) so the journal knows nothing
+        // of metrics; the measurement includes the fsync — the dominant
+        // cost on a durable session's command path.
+        let t0 = registry.enabled().then(Instant::now);
+        let result = durable.journal.append(inner.session.now_ns(), mutation);
+        if let Some(t0) = t0 {
+            registry.journal_appends.inc();
+            registry
+                .journal_append_ns
+                .record(t0.elapsed().as_nanos() as u64);
+        }
+        if let Err(e) = result {
+            fail(inner, id, &format!("command journal write failed: {e}"));
+            return;
+        }
     }
     match inner.session.apply(mutation) {
         Ok(granted_ns) => inner.remaining_ns = inner.remaining_ns.saturating_add(granted_ns),
@@ -1675,23 +1655,28 @@ fn trace_page(id: SessionId, lo: u64, end_seq: u64, entries: Vec<TraceEntry>) ->
 /// fails the session — a durable session whose checkpoint chain can no
 /// longer advance would silently degrade every future seek.
 fn maybe_checkpoint(inner: &mut SessionInner, id: SessionId, registry: &MetricsRegistry) {
-    if inner.checkpoint_interval == 0 || inner.checkpoints.is_none() {
+    let Some(durable) = inner.durable.as_mut() else {
         return;
-    }
+    };
+    let Some(store) = durable.checkpoints.as_mut() else {
+        return;
+    };
+    let trace = inner.session.engine().trace();
+    let len = trace.len() as u64;
+    let last = store.latest().map_or(0, |m| m.seq);
     // During post-restart catch-up the simulator's clock lags the
     // recovered store: an image taken now would pair a stale `t_ns`
     // with the full recovered length, and a seek restoring it would
     // regenerate (duplicate) the gap. Checkpoints resume once the
     // deterministic replay has re-reached the recovered length.
-    if inner.session.engine().trace().catching_up() {
-        return;
-    }
-    let len = inner.session.engine().trace().len() as u64;
-    if len.saturating_sub(inner.last_checkpoint_len) < inner.checkpoint_interval {
+    if durable.checkpoint_interval == 0
+        || trace.catching_up()
+        || len.saturating_sub(last) < durable.checkpoint_interval
+    {
         return;
     }
     let image = persist::ServerCheckpoint {
-        journal_pos: inner.journal_len,
+        journal_pos: durable.journal.records().len() as u64,
         session: inner.session.save_state(),
     };
     let payload = match serde_json::to_string(&image) {
@@ -1702,10 +1687,8 @@ fn maybe_checkpoint(inner: &mut SessionInner, id: SessionId, registry: &MetricsR
         }
     };
     let t0 = registry.enabled().then(Instant::now);
-    let store = inner.checkpoints.as_mut().expect("checked above");
     match store.save(len, image.session.t_ns(), payload.as_bytes()) {
         Ok(bytes) => {
-            inner.last_checkpoint_len = len;
             if let Some(t0) = t0 {
                 registry.checkpoint_writes.inc();
                 registry.checkpoint_bytes.add(bytes);
@@ -1717,11 +1700,7 @@ fn maybe_checkpoint(inner: &mut SessionInner, id: SessionId, registry: &MetricsR
             // checkpoint's position must survive eviction — a seek
             // restores that checkpoint and pages its forward window out
             // of the persisted prefix.
-            if let Some(oldest) = inner
-                .checkpoints
-                .as_ref()
-                .and_then(CheckpointStore::oldest_seq)
-            {
+            if let Some(oldest) = store.oldest_seq() {
                 inner.session.set_trace_retain_floor(oldest);
             }
         }
@@ -1750,7 +1729,9 @@ struct SeekReplica {
 /// replays journal and pump up to the target. The pick is
 /// [`persist::newest_image`], the one restart uses: a damaged image, or
 /// one past the journal's valid end, falls back to the next older one;
-/// with none usable the replica replays from time zero.
+/// with none usable the replica replays from time zero. The spec and
+/// the journal records come from the session's in-memory
+/// [`persist::Durable`]; the image is the only file read.
 fn seek_replica(
     inner: &SessionInner,
     registry: &MetricsRegistry,
@@ -1758,12 +1739,11 @@ fn seek_replica(
     strictly_before: bool,
     target_ns: u64,
 ) -> Result<SeekReplica, String> {
-    let dir = inner.dir.as_ref().ok_or_else(|| {
+    let durable = inner.durable.as_ref().ok_or_else(|| {
         "time travel needs a durable session (in-memory sessions keep no checkpoints or journal)"
             .to_owned()
     })?;
-    let spec = persist::load_spec(dir)?;
-    let records = persist::read_journal(dir)?;
+    let records = durable.journal.records();
     let in_horizon = |m: &CheckpointMeta| {
         if strictly_before {
             m.t_ns < horizon_ns
@@ -1771,7 +1751,7 @@ fn seek_replica(
             m.t_ns <= horizon_ns
         }
     };
-    let picked = inner
+    let picked = durable
         .checkpoints
         .as_ref()
         .and_then(|store| persist::newest_image(store, records.len(), registry, in_horizon));
@@ -1779,10 +1759,10 @@ fn seek_replica(
         .as_ref()
         .map_or(0, |(_, image)| image.session.trace_len());
     let (mut session, replayed_commands) = persist::rebuild(
-        &spec,
+        &durable.spec,
         picked.as_ref().map(|(_, image)| image),
         Box::new(OffsetMemStore::new(base)),
-        &records,
+        records,
         target_ns,
     )
     .map_err(|e| format!("replica {e}"))?;
@@ -1940,48 +1920,12 @@ fn snapshot_of(
         pending: engine.pending(),
         trace_len: engine.trace().len(),
         trace_json,
-        events_fed: inner.events_fed,
-        violations: inner.violations,
-        breakpoint_hits: inner.breakpoint_hits,
+        events_fed: events_fed(engine),
+        violations: engine.violations().len() as u64,
+        breakpoint_hits: engine.stats().breakpoint_hits,
         lagged_drops: inner.lagged.get(),
         remaining_ns: inner.remaining_ns,
     })
-}
-
-/// Journals one *accepted* mutation on a durable session (no-op for
-/// in-memory ones). A journal write failure fails the session — its
-/// durable history could no longer be trusted to match its state.
-/// Returns `false` when the append failed.
-fn journal_mutation(
-    inner: &mut SessionInner,
-    id: SessionId,
-    at_ns: u64,
-    mutation: &Mutation,
-    registry: &MetricsRegistry,
-) -> bool {
-    let result = match inner.journal.as_mut() {
-        Some(journal) => {
-            // Timed here (not inside `Journal`) so the journal stays a
-            // plain file wrapper; the measurement includes the fsync —
-            // the dominant cost on a durable session's command path.
-            let t0 = registry.enabled().then(Instant::now);
-            let result = journal.append(at_ns, mutation);
-            if let Some(t0) = t0 {
-                registry.journal_appends.inc();
-                registry
-                    .journal_append_ns
-                    .record(t0.elapsed().as_nanos() as u64);
-            }
-            result
-        }
-        None => return true,
-    };
-    if let Err(e) = result {
-        fail(inner, id, &format!("command journal write failed: {e}"));
-        return false;
-    }
-    inner.journal_len += 1;
-    true
 }
 
 /// Parks the session as failed and tells subscribers.
@@ -1997,28 +1941,21 @@ fn fail(inner: &mut SessionInner, id: SessionId, message: &str) {
     );
 }
 
-/// Publishes everything recorded since the last turn: engine notices
-/// (breakpoint hits, violation counts), violation messages, and the
-/// trace delta. The session's counters and cursor always advance; the
+/// Publishes everything recorded since the last turn: breakpoint hits
+/// (from the engine notices), violation messages, and the trace delta.
+/// The notices are drained and the cursor advances every turn; the
 /// owned event payloads (the delta read-back, message strings) are only
 /// built when someone is subscribed.
 fn publish_deltas(inner: &mut SessionInner, id: SessionId) {
     let has_subscribers = !inner.subscribers.is_empty();
     let mut events = Vec::new();
-    // Counters come from the per-command notices, so they advance even
-    // when nobody subscribes and the trace store is disk-backed — no
-    // read-back just to count.
     while let Ok(notice) = inner.notices.try_recv() {
-        inner.violations += notice.violations as u64;
-        if notice.hit_breakpoint {
-            inner.breakpoint_hits += 1;
-            if has_subscribers {
-                events.push(EngineEvent::BreakpointHit {
-                    session: id,
-                    seq: notice.seq,
-                    time_ns: notice.time_ns,
-                });
-            }
+        if notice.hit_breakpoint && has_subscribers {
+            events.push(EngineEvent::BreakpointHit {
+                session: id,
+                seq: notice.seq,
+                time_ns: notice.time_ns,
+            });
         }
     }
     let cursor = inner.trace_cursor;
@@ -2119,7 +2056,7 @@ fn broadcast(inner: &mut SessionInner, event: EngineEvent) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_systems::blinker_system;
+    use crate::test_systems::{blinker_system, ring_system};
     use crate::PersistConfig;
     use gmdf::{ChannelMode, Workflow};
     use gmdf_codegen::{CompileOptions, InstrumentOptions};
@@ -2178,8 +2115,11 @@ mod tests {
             let handle = server.add_durable_session(&spec).expect("durable session");
             journaled_history(&handle);
             let journal = persist::session_dir(&root, handle.id()).join("journal.log");
-            lock(&handle.cell.inner).journal =
-                Some(persist::Journal::failing(&journal).expect("open journal"));
+            lock(&handle.cell.inner)
+                .durable
+                .as_mut()
+                .expect("durable")
+                .journal = persist::Journal::failing(&journal).expect("open journal");
             handle.resume().expect("send");
             match handle.wait_idle(WAIT) {
                 Err(ServerError::SessionFailed(_)) => {}
@@ -2209,6 +2149,163 @@ mod tests {
             ref_handle.snapshot(WAIT).expect("snapshot").trace_json,
             "the restored session continues exactly like the reference"
         );
+        drop(server);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    fn spec_of(system: gmdf_comdes::System) -> SessionSpec {
+        Workflow::from_system(system)
+            .expect("valid system")
+            .default_abstraction()
+            .default_commands()
+            .into_spec(
+                ChannelMode::Active,
+                CompileOptions {
+                    instrument: InstrumentOptions::behavior(),
+                    faults: vec![],
+                },
+                SimConfig::default(),
+            )
+    }
+
+    fn one_worker() -> ServerConfig {
+        ServerConfig {
+            workers: 1,
+            slice_ns: 500_000,
+            ..ServerConfig::default()
+        }
+    }
+
+    /// A journal append that writes part of its record and then fails
+    /// (a full disk) fails the session, and the session stays failed
+    /// when space comes back: a later `Resume` is neither journaled
+    /// behind the torn bytes nor applied. Otherwise it would drain the
+    /// paused queue into the trace store while a restart, which stops
+    /// reading the journal at the tear, restored the session paused
+    /// with those commands still pending and a store already past them.
+    #[test]
+    fn failed_session_drops_mutations_behind_a_torn_journal_record() {
+        let spec = spec_of(blinker_system("journal-torn", 0.0005, 500_000));
+        let root = std::env::temp_dir().join(format!("gmdf-journal-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (id, paused) = {
+            let server = DebugServer::start_persistent(one_worker(), PersistConfig::new(&root))
+                .expect("persistent server boots");
+            let handle = server.add_durable_session(&spec).expect("durable session");
+            handle
+                .add_breakpoint(CommandMatcher::kind(EventKind::StateEnter), true)
+                .expect("send");
+            handle.run_for(3_000_000).expect("send");
+            handle.wait_idle(WAIT).expect("idle");
+            let paused = handle.snapshot(WAIT).expect("snapshot");
+            assert_eq!(paused.engine_state, EngineState::Paused);
+            assert!(paused.pending > 0, "the Resume has commands to drain");
+
+            lock(&handle.cell.inner)
+                .durable
+                .as_mut()
+                .expect("durable")
+                .journal
+                .tear_next_append(5);
+            handle.resume().expect("send");
+            match handle.wait_idle(WAIT) {
+                Err(ServerError::SessionFailed(_)) => {}
+                other => panic!("expected SessionFailed, got {other:?}"),
+            }
+            handle.resume().expect("send");
+            let failed = handle
+                .snapshot(WAIT)
+                .expect("a failed session still answers queries");
+            assert_eq!(failed.trace_len, paused.trace_len, "nothing drained");
+            assert_eq!(failed.pending, paused.pending);
+            assert_eq!(failed.trace_json, paused.trace_json);
+            (handle.id(), paused)
+        };
+
+        let server = DebugServer::start_persistent(one_worker(), PersistConfig::new(&root))
+            .expect("restart");
+        let handle = server.handle(id).expect("restored handle");
+        handle.wait_idle(WAIT).expect("idle");
+        let restored = handle.snapshot(WAIT).expect("snapshot");
+        assert_eq!(restored.engine_state, EngineState::Paused);
+        assert_eq!(restored.pending, paused.pending);
+        assert_eq!(restored.trace_len, paused.trace_len);
+        assert_eq!(restored.trace_json, paused.trace_json);
+        handle.resume().expect("send");
+        handle.wait_idle(WAIT).expect("idle");
+        let resumed = handle.stats(WAIT).expect("stats");
+        assert_eq!(resumed.pending, 0);
+        assert_eq!(resumed.trace_len, paused.trace_len + paused.pending);
+        drop(server);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A seek rebuilds from the session's in-memory spec and journal
+    /// records; only the checkpoint image comes from disk. With its
+    /// `spec.json` overwritten and its `journal.log` emptied, a session
+    /// still answers `SeekTo`, `StepBack` and `ReplayWindow` exactly
+    /// like an undamaged twin that ran the same history.
+    #[test]
+    fn seeks_do_not_reread_the_session_files() {
+        let spec = spec_of(ring_system("seek-files", 3, 0.0008, 500_000));
+        let root = std::env::temp_dir().join(format!("gmdf-seek-files-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let server = DebugServer::start_persistent(
+            ServerConfig {
+                workers: 2,
+                ..one_worker()
+            },
+            PersistConfig::new(&root).with_checkpoint_interval(16),
+        )
+        .expect("persistent server boots");
+        let damaged = server.add_durable_session(&spec).expect("durable session");
+        let twin = server.add_durable_session(&spec).expect("durable session");
+        for handle in [&damaged, &twin] {
+            handle
+                .schedule_signal(9_000_000, "state_sig", SignalValue::Int(5))
+                .expect("send");
+            handle
+                .add_breakpoint(CommandMatcher::kind(EventKind::StateEnter), true)
+                .expect("send");
+            handle.run_for(12_000_000).expect("send");
+            handle.wait_idle(WAIT).expect("idle");
+            handle.step().expect("send");
+            handle.resume().expect("send");
+            handle.run_for(150_000_000).expect("send");
+            handle.wait_idle(WAIT).expect("idle");
+        }
+        let live = twin.stats(WAIT).expect("stats");
+        assert!(live.trace_len > 64, "several checkpoint intervals");
+
+        let dir = persist::session_dir(&root, damaged.id());
+        std::fs::write(dir.join("spec.json"), b"{ not a spec").expect("overwrite spec");
+        std::fs::File::options()
+            .write(true)
+            .open(dir.join("journal.log"))
+            .and_then(|f| f.set_len(0))
+            .expect("truncate journal");
+
+        let mid = live.now_ns / 2;
+        let seek = |h: &SessionHandle| {
+            let mut report = h.seek_to(mid, true, WAIT).expect("seek");
+            report.session = 0;
+            report
+        };
+        let step_back = |h: &SessionHandle| {
+            let mut report = h.step_back(20, true, WAIT).expect("step back");
+            report.session = 0;
+            report
+        };
+        let window = |h: &SessionHandle| {
+            let mut page = h.replay_window(mid / 2, mid, WAIT).expect("window");
+            page.session = 0;
+            page
+        };
+        let report = seek(&twin);
+        assert!(report.checkpoint_seq.is_some(), "served from an image");
+        assert_eq!(seek(&damaged), report);
+        assert_eq!(step_back(&damaged), step_back(&twin));
+        assert_eq!(window(&damaged), window(&twin));
         drop(server);
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -5,9 +5,11 @@
 //! from the run itself. These suites pin that down:
 //!
 //! * a property test runs random system images under random slice
-//!   partitions and checks each session's counters against the trace
-//!   (events fed == entries recorded, violations == per-entry sum,
-//!   store appends == entries appended);
+//!   partitions, some paused by a one-shot breakpoint, and checks each
+//!   session's counters against the trace and its stream (events fed ==
+//!   entries recorded + commands pending, violations == per-entry sum,
+//!   breakpoint hits == `BreakpointHit` events received, store appends
+//!   == entries appended);
 //! * a wire test fetches the snapshot over TCP and asserts it equals
 //!   the in-process read-out **exactly** (after stripping wall-clock
 //!   fields, which cannot be equal across two instants);
@@ -25,8 +27,10 @@ use common::{active_session, blinker_system, ring_system};
 use gmdf::{ChannelMode, SessionSpec, Workflow};
 use gmdf_codegen::{CompileOptions, InstrumentOptions};
 use gmdf_engine::TraceEntry;
+use gmdf_gdm::{CommandMatcher, EventKind};
 use gmdf_server::{
-    DebugServer, HealthState, PersistConfig, ServerConfig, SessionHandle, WireClient, WireServer,
+    DebugServer, EngineEvent, HealthState, PersistConfig, ServerConfig, SessionHandle, WireClient,
+    WireServer,
 };
 use gmdf_target::SimConfig;
 use proptest::prelude::*;
@@ -87,13 +91,17 @@ proptest! {
 
     /// Whatever the image and however the horizon is partitioned into
     /// run budgets, the snapshot's counters equal the quantities
-    /// recoverable from the recorded trace itself.
+    /// recoverable from the recorded trace itself and from a lossless
+    /// subscriber's stream. With `breakpoint` set, each session pauses
+    /// at its first state entry and ends with the later commands
+    /// pending, fed but not yet in the trace.
     #[test]
     fn counters_match_trace_ground_truth(
         workers in 1usize..4,
         slice_ns in 200_000u64..2_000_000,
         ring_states in 2usize..6,
         splits in proptest::collection::vec(500_000u64..6_000_000, 2..10),
+        breakpoint in any::<bool>(),
     ) {
         let server = DebugServer::start(ServerConfig {
             workers,
@@ -108,12 +116,29 @@ proptest! {
             0.001,
             500_000,
         )));
+        let streams = [
+            blinker.subscribe_with_capacity(0),
+            ring.subscribe_with_capacity(0),
+        ];
+        if breakpoint {
+            for handle in [&blinker, &ring] {
+                handle
+                    .add_breakpoint(CommandMatcher::kind(EventKind::StateEnter), true)
+                    .unwrap();
+            }
+        }
         for dt in &splits {
             blinker.run_for(*dt).unwrap();
             ring.run_for(*dt).unwrap();
         }
         blinker.wait_idle(WAIT).unwrap();
         ring.wait_idle(WAIT).unwrap();
+        let hits = streams.map(|stream| {
+            stream
+                .try_iter()
+                .filter(|event| matches!(event, EngineEvent::BreakpointHit { .. }))
+                .count() as u64
+        });
 
         // Snapshot first: the replay reads below bump the store's read
         // counters, and the append counters must already be settled.
@@ -121,24 +146,31 @@ proptest! {
         prop_assert_eq!(snapshot.fleet.sessions, 2);
         prop_assert_eq!(snapshot.fleet.workers, workers as u64);
         let mut total_entries = 0u64;
-        for handle in [&blinker, &ring] {
+        let mut total_fed = 0u64;
+        for (handle, hits) in [&blinker, &ring].into_iter().zip(hits) {
             let row = snapshot
                 .sessions
                 .iter()
                 .find(|s| s.session == handle.id())
                 .expect("session row");
             let trace = full_trace(handle);
-            // Every fed model event records exactly one trace entry.
-            prop_assert_eq!(row.events_fed, trace.len() as u64);
+            let pending = handle.stats(WAIT).unwrap().pending as u64;
+            prop_assert_eq!(pending > 0, breakpoint, "paused exactly when broken into");
+            // Every fed model event records exactly one trace entry,
+            // once it is no longer queued behind a pause.
+            prop_assert_eq!(row.events_fed, trace.len() as u64 + pending);
             prop_assert_eq!(row.trace_len, trace.len() as u64);
+            prop_assert_eq!(row.breakpoint_hits, hits);
+            prop_assert_eq!(hits, u64::from(breakpoint), "one-shot");
             // The violation counter equals the per-entry sum.
             let violations: u64 = trace.iter().map(|e| e.violations.len() as u64).sum();
             prop_assert_eq!(row.violations, violations);
             prop_assert_eq!(row.state, HealthState::Parked);
             prop_assert_eq!(row.remaining_ns, 0);
             total_entries += trace.len() as u64;
+            total_fed += row.events_fed;
         }
-        prop_assert_eq!(snapshot.fleet.events_fed, total_entries);
+        prop_assert_eq!(snapshot.fleet.events_fed, total_fed);
         // One store append per recorded entry, fleet-wide.
         prop_assert_eq!(snapshot.fleet.store_appends, total_entries);
         prop_assert_eq!(snapshot.fleet.store_append_ns.count, total_entries);
@@ -147,7 +179,7 @@ proptest! {
         prop_assert_eq!(snapshot.fleet.slices, shard_slices);
         prop_assert_eq!(snapshot.fleet.slice_wall_ns.count, shard_slices);
         prop_assert_eq!(snapshot.fleet.events_per_slice.count, shard_slices);
-        prop_assert_eq!(snapshot.fleet.events_per_slice.sum, total_entries);
+        prop_assert_eq!(snapshot.fleet.events_per_slice.sum, total_fed);
         // Idle fleet: nothing queued anywhere.
         prop_assert_eq!(snapshot.fleet.mailbox_depth, 0);
         prop_assert_eq!(snapshot.fleet.subscriber_depth, 0);
