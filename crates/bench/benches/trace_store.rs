@@ -14,6 +14,10 @@
 //!   disk store from its per-segment index plus the one or two boundary
 //!   segments it actually reads, and the compacted store additionally
 //!   decompresses those segments from the `.lgz` cold tier;
+//! * `trace_store/reopen_disk_binary` — opening an existing binary store
+//!   of `trace_len()` entries, the trace store's share of a durable
+//!   session's restart: every segment file is read and every frame
+//!   checked, sealed segments in place and only the active one decoded;
 //! * comparison row `window_indexed_vs_linear` — the indexed
 //!   (`partition_point`) window against the pre-refactor full scan on
 //!   the same in-memory trace, measured on the narrow-window shape the
@@ -150,6 +154,22 @@ fn bench_store(c: &mut Criterion) {
         })
     });
     std::fs::remove_dir_all(&binary_dir).ok();
+
+    // A restart's open of a long binary store (its meta.json codec and
+    // capacity win over `open`'s argument).
+    let reopen_dir = tmp_dir("reopen");
+    {
+        let mut trace = disk_trace(&reopen_dir, Codec::Binary);
+        record_batch(&mut trace, trace_len());
+        trace.sync().expect("flush");
+    }
+    group.bench_function("reopen_disk_binary", |b| {
+        b.iter(|| {
+            let store = SegmentStore::open(&reopen_dir, SEGMENT).expect("reopen");
+            black_box(store.len())
+        })
+    });
+    std::fs::remove_dir_all(&reopen_dir).ok();
 
     // Narrow-window seeks against the long trace: ~64 entries out of
     // the middle, the replay/timing-diagram access pattern.

@@ -36,13 +36,15 @@
 //! every appended entry, so dense numbering and deterministic catch-up
 //! survive retention.
 //!
-//! **Crash safety**: opening a store re-scans the segment files once; a
-//! torn tail (a record cut mid-write, a corrupt length, an unparsable
-//! payload) truncates the file at the last whole record and drops any
-//! later segment — recovery always yields a valid *prefix* of the
-//! original trace, never a gap or a panic
-//! (`crates/engine/tests/store_recovery.rs` proves this for kills at
-//! arbitrary byte offsets).
+//! **Crash safety**: opening a store re-scans the segment files once,
+//! checking sealed segments frame by frame in place and decoding only
+//! the active one; a torn tail (a record cut mid-write, a corrupt
+//! length, an unparsable payload, a broken sequence) truncates the file
+//! at the last whole record and drops any later segment — recovery
+//! always yields a valid *prefix* of the original trace, never a gap or
+//! a panic (`crates/engine/tests/store_recovery.rs` proves this for
+//! kills at arbitrary byte offsets and flipped bytes in sealed
+//! segments).
 
 use crate::trace::TraceEntry;
 use gmdf_gdm::{EventKind, EventValue, ModelEvent, ReactionSpec};
@@ -308,23 +310,25 @@ pub fn read_records<T: Deserialize>(path: &Path) -> Result<(Vec<T>, u64), StoreE
 fn scan_frames<T>(bytes: &[u8], mut decode: impl FnMut(&[u8]) -> Option<T>) -> (Vec<T>, u64) {
     let mut records = Vec::new();
     let mut offset = 0usize;
-    while bytes.len() - offset >= 4 {
-        let len = u32::from_be_bytes([
-            bytes[offset],
-            bytes[offset + 1],
-            bytes[offset + 2],
-            bytes[offset + 3],
-        ]) as usize;
-        if len == 0 || bytes.len() - offset - 4 < len {
-            break; // torn or nonsense length: end of the valid prefix
-        }
-        let Some(value) = decode(&bytes[offset + 4..offset + 4 + len]) else {
+    while let Some(payload) = next_frame(&bytes[offset..]) {
+        let Some(value) = decode(payload) else {
             break;
         };
         records.push(value);
-        offset += 4 + len;
+        offset += 4 + payload.len();
     }
     (records, offset as u64)
+}
+
+/// The payload of the `[u32 len BE][payload]` frame at the front of
+/// `bytes`; `None` when that frame is torn or has a zero length (the end
+/// of the valid prefix).
+fn next_frame(bytes: &[u8]) -> Option<&[u8]> {
+    let len = u32::from_be_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
+    if len == 0 {
+        return None;
+    }
+    bytes[4..].get(..len)
 }
 
 fn decode_json<T: Deserialize>(payload: &[u8]) -> Option<T> {
@@ -472,12 +476,12 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn read_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
+fn read_str<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a str> {
     let len = read_varint(bytes, pos)? as usize;
     let end = pos.checked_add(len)?;
     let slice = bytes.get(*pos..end)?;
     *pos = end;
-    Some(std::str::from_utf8(slice).ok()?.to_owned())
+    std::str::from_utf8(slice).ok()
 }
 
 /// Binary payload for one [`TraceEntry`]:
@@ -530,10 +534,29 @@ fn encode_entry_binary(entry: &TraceEntry) -> Vec<u8> {
     out
 }
 
-/// Strict inverse of [`encode_entry_binary`]: any unknown tag, bad
-/// UTF-8, truncation or trailing byte is a decode failure (`None`), so
-/// damage shortens the valid prefix exactly like a corrupt JSON record.
-fn decode_entry_binary(bytes: &[u8]) -> Option<TraceEntry> {
+/// One binary entry payload parsed in place by [`parse_entry_binary`]:
+/// every field checked, nothing copied.
+struct EntryView<'a> {
+    seq: u64,
+    time_ns: u64,
+    kind: EventKind,
+    path: &'a str,
+    from: Option<&'a str>,
+    to: Option<&'a str>,
+    value: Option<EventValue>,
+    /// Reaction tags, each one [`reaction_from_u8`] accepts.
+    reactions: &'a [u8],
+    /// `n_violations` back-to-back `str` fields, each valid UTF-8.
+    n_violations: usize,
+    violations: &'a [u8],
+}
+
+/// The acceptance rules of the binary codec, the strict inverse of
+/// [`encode_entry_binary`]: any unknown tag, bad UTF-8, truncation or
+/// trailing byte is a parse failure (`None`), so damage shortens the
+/// valid prefix exactly like a corrupt JSON record. Allocates nothing,
+/// which lets recovery check sealed segments without building entries.
+fn parse_entry_binary(bytes: &[u8]) -> Option<EntryView<'_>> {
     let mut pos = 0usize;
     let seq = read_varint(bytes, &mut pos)?;
     let time_ns = read_varint(bytes, &mut pos)?;
@@ -575,36 +598,59 @@ fn decode_entry_binary(bytes: &[u8]) -> Option<TraceEntry> {
         }
     };
     let n_reactions = read_varint(bytes, &mut pos)? as usize;
-    if n_reactions > bytes.len().saturating_sub(pos) {
+    let reactions = bytes.get(pos..pos.checked_add(n_reactions)?)?;
+    if !reactions.iter().all(|&b| reaction_from_u8(b).is_some()) {
         return None;
     }
-    let mut reactions = Vec::with_capacity(n_reactions);
-    for _ in 0..n_reactions {
-        reactions.push(reaction_from_u8(*bytes.get(pos)?)?);
-        pos += 1;
-    }
+    pos += n_reactions;
     let n_violations = read_varint(bytes, &mut pos)? as usize;
     if n_violations > bytes.len().saturating_sub(pos) {
         return None;
     }
-    let mut violations = Vec::with_capacity(n_violations);
+    let violations_start = pos;
     for _ in 0..n_violations {
-        violations.push(read_str(bytes, &mut pos)?);
+        read_str(bytes, &mut pos)?;
     }
     if pos != bytes.len() {
         return None; // trailing bytes = damage
     }
-    Some(TraceEntry {
+    Some(EntryView {
         seq,
-        event: ModelEvent {
-            time_ns,
-            kind,
-            path,
-            from,
-            to,
-            value,
-        },
+        time_ns,
+        kind,
+        path,
+        from,
+        to,
+        value,
         reactions,
+        n_violations,
+        violations: &bytes[violations_start..],
+    })
+}
+
+/// Decodes one binary entry payload: [`parse_entry_binary`] plus the
+/// owned fields.
+fn decode_entry_binary(bytes: &[u8]) -> Option<TraceEntry> {
+    let view = parse_entry_binary(bytes)?;
+    let mut pos = 0usize;
+    let violations = (0..view.n_violations)
+        .map(|_| read_str(view.violations, &mut pos).map(str::to_owned))
+        .collect::<Option<_>>()?;
+    Some(TraceEntry {
+        seq: view.seq,
+        event: ModelEvent {
+            time_ns: view.time_ns,
+            kind: view.kind,
+            path: view.path.to_owned(),
+            from: view.from.map(str::to_owned),
+            to: view.to.map(str::to_owned),
+            value: view.value,
+        },
+        reactions: view
+            .reactions
+            .iter()
+            .map(|&b| reaction_from_u8(b))
+            .collect::<Option<_>>()?,
         violations,
     })
 }
@@ -632,6 +678,16 @@ fn decode_entry(payload: &[u8], codec: Codec) -> Option<TraceEntry> {
     match codec {
         Codec::Json => decode_json::<TraceEntry>(payload),
         Codec::Binary => decode_entry_binary(payload),
+    }
+}
+
+/// `(seq, time_ns)` of one entry payload, accepted exactly when
+/// [`decode_entry`] accepts it. Binary payloads are parsed in place;
+/// JSON, the reference codec, is decoded.
+fn entry_key(payload: &[u8], codec: Codec) -> Option<(u64, u64)> {
+    match codec {
+        Codec::Json => decode_entry(payload, codec).map(|e| (e.seq, e.event.time_ns)),
+        Codec::Binary => parse_entry_binary(payload).map(|v| (v.seq, v.time_ns)),
     }
 }
 
@@ -1003,6 +1059,57 @@ impl SegmentMeta {
     }
 }
 
+/// The valid prefix of one segment image, as [`walk_segment`] found it.
+#[derive(Debug, Clone, Copy, Default)]
+struct SegmentWalk {
+    /// Leading entries that decode and continue the dense sequence.
+    count: usize,
+    /// Byte length of their frames.
+    len: usize,
+    /// Event times of the first and the last of them.
+    t0_ns: u64,
+    t1_ns: u64,
+}
+
+impl SegmentWalk {
+    /// The index entry of the walked segment as a sealed one.
+    fn sealed(&self, first_seq: u64, bytes: u64, compressed: bool) -> SegmentMeta {
+        SegmentMeta {
+            first_seq,
+            last_seq: first_seq + self.count as u64 - 1,
+            t0_ns: self.t0_ns,
+            t1_ns: self.t1_ns,
+            bytes,
+            compressed,
+        }
+    }
+}
+
+/// Walks the entry frames of a segment image whose first entry must be
+/// `first_seq`, without building entries: it takes at most `capacity`
+/// frames and stops at the first one that is torn, does not decode
+/// ([`entry_key`]) or breaks the dense sequence.
+fn walk_segment(bytes: &[u8], codec: Codec, first_seq: u64, capacity: usize) -> SegmentWalk {
+    let mut walk = SegmentWalk::default();
+    while walk.count < capacity {
+        let Some(payload) = next_frame(&bytes[walk.len..]) else {
+            break;
+        };
+        match entry_key(payload, codec) {
+            Some((seq, time_ns)) if seq == first_seq + walk.count as u64 => {
+                if walk.count == 0 {
+                    walk.t0_ns = time_ns;
+                }
+                walk.t1_ns = time_ns;
+                walk.count += 1;
+                walk.len += 4 + payload.len();
+            }
+            _ => break,
+        }
+    }
+    walk
+}
+
 /// Append-only, segmented on-disk trace store (see the module docs for
 /// layout, indexing and crash-safety).
 #[derive(Debug)]
@@ -1037,8 +1144,11 @@ impl SegmentStore {
     /// segment) is used when creating a fresh store; an existing store
     /// keeps the capacity recorded in its `meta.json`.
     ///
-    /// Opening costs one sequential scan of the segment files (that is
-    /// the recovery validation); queries afterwards are indexed.
+    /// Opening reads each segment file once and checks every frame with
+    /// the codec's full acceptance rules (that is the recovery
+    /// validation). Sealed segments are checked in place and only
+    /// indexed; only the active segment is decoded into memory. Queries
+    /// afterwards are indexed.
     ///
     /// # Errors
     ///
@@ -1210,30 +1320,24 @@ impl SegmentStore {
             let expected_first = (idx * self.capacity) as u64;
             if has_lgz {
                 // A valid .lgz is the newer truth: compaction removes
-                // the .log only after the .lgz rename lands.
+                // the .log only after the .lgz rename lands. Valid
+                // means exactly `capacity` entries: one more decodable
+                // frame behind them is damage too.
                 let lgz_path = self.compressed_path(idx);
                 let data = std::fs::read(&lgz_path)?;
-                let entries = unpack_segment(&data)
-                    .map(|raw| scan_frames(&raw, |p| decode_entry(p, self.codec)).0)
-                    .filter(|entries| {
-                        entries.len() == self.capacity
-                            && entries
-                                .iter()
-                                .enumerate()
-                                .all(|(i, e)| e.seq == expected_first + i as u64)
-                    });
-                if let Some(entries) = entries {
+                let walk = unpack_segment(&data).and_then(|raw| {
+                    let walk = walk_segment(&raw, self.codec, expected_first, self.capacity);
+                    let more = next_frame(&raw[walk.len..])
+                        .and_then(|p| entry_key(p, self.codec))
+                        .is_some();
+                    (walk.count == self.capacity && !more).then_some(walk)
+                });
+                if let Some(walk) = walk {
                     if has_log {
                         std::fs::remove_file(self.segment_path(idx))?;
                     }
-                    self.sealed.push(SegmentMeta {
-                        first_seq: expected_first,
-                        last_seq: expected_first + entries.len() as u64 - 1,
-                        t0_ns: entries.first().expect("full").event.time_ns,
-                        t1_ns: entries.last().expect("full").event.time_ns,
-                        bytes: data.len() as u64,
-                        compressed: true,
-                    });
+                    self.sealed
+                        .push(walk.sealed(expected_first, data.len() as u64, true));
                     self.tail_first = expected_first + self.capacity as u64;
                     continue;
                 }
@@ -1248,58 +1352,38 @@ impl SegmentStore {
                 }
             }
             let path = self.segment_path(idx);
-            let (entries, valid_len) = read_entries(&path, self.codec)?;
-            // Entries must continue the dense sequence; a mismatch means
-            // the file was damaged beyond framing (e.g. bytes flipped in
-            // a seq field) — cut there.
-            let mut good = 0usize;
-            for (i, e) in entries.iter().enumerate() {
-                if i >= self.capacity || e.seq != expected_first + i as u64 {
-                    break;
-                }
-                good += 1;
-            }
-            let (entries, bytes) = if good < entries.len() {
-                let mut truncated = entries;
-                truncated.truncate(good);
-                // Re-measure the valid byte prefix for the kept records.
-                let mut kept = 0u64;
-                for e in &truncated {
-                    kept += encode_entry(e, self.codec)?.len() as u64;
-                }
-                truncate_file(&path, kept)?;
-                (truncated, kept)
-            } else {
-                let file_len = std::fs::metadata(&path)?.len();
-                if valid_len < file_len {
-                    truncate_file(&path, valid_len)?;
-                }
-                (entries, valid_len)
-            };
-            if entries.is_empty() {
+            let bytes = std::fs::read(&path)?;
+            // The walk also cuts where entries stop continuing the dense
+            // sequence: the file was damaged beyond framing (e.g. bytes
+            // flipped in a seq field).
+            let walk = walk_segment(&bytes, self.codec, expected_first, self.capacity);
+            if walk.count == 0 {
                 // Nothing usable in this segment: delete it and stop.
                 std::fs::remove_file(&path)?;
                 self.drop_segments_after(idx)?;
                 self.tail_first = expected_first;
                 return Ok(());
             }
-            if entries.len() < self.capacity {
-                // Short segment: it becomes the active tail; later
-                // segments (if any survived a bizarre crash) are stale.
+            if walk.len < bytes.len() {
+                truncate_file(&path, walk.len as u64)?;
+            }
+            if walk.count < self.capacity {
+                // Short segment: it becomes the active tail, the only
+                // one decoded; later segments (if any survived a bizarre
+                // crash) are stale.
                 self.drop_segments_after(idx)?;
                 self.tail_first = expected_first;
-                self.tail_bytes = bytes;
-                self.tail = entries;
+                self.tail_bytes = walk.len as u64;
+                self.tail = scan_frames(&bytes[..walk.len], |p| decode_entry(p, self.codec)).0;
+                assert_eq!(
+                    self.tail.len(),
+                    walk.count,
+                    "decode accepts what the walk did"
+                );
                 return Ok(());
             }
-            self.sealed.push(SegmentMeta {
-                first_seq: expected_first,
-                last_seq: expected_first + entries.len() as u64 - 1,
-                t0_ns: entries.first().expect("nonempty").event.time_ns,
-                t1_ns: entries.last().expect("nonempty").event.time_ns,
-                bytes,
-                compressed: false,
-            });
+            self.sealed
+                .push(walk.sealed(expected_first, walk.len as u64, false));
             self.tail_first = expected_first + self.capacity as u64;
         }
         Ok(())
@@ -2019,6 +2103,50 @@ mod tests {
         let mut bad_flags = good;
         bad_flags[3] |= 0x10;
         assert!(decode_entry_binary(&bad_flags).is_none());
+    }
+
+    #[test]
+    fn in_place_parse_accepts_exactly_what_the_decoder_accepts() {
+        let (mut accepted, mut rejected) = (0, 0);
+        let mut agree = |bytes: &[u8]| {
+            let expected = decode_entry_binary(bytes).map(|e| (e.seq, e.event.time_ns));
+            assert_eq!(
+                entry_key(bytes, Codec::Binary),
+                expected,
+                "payload {bytes:?}"
+            );
+            if expected.is_some() {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        };
+        for e in fancy_entries() {
+            let good = encode_entry_binary(&e);
+            assert_eq!(
+                entry_key(&good, Codec::Binary),
+                Some((e.seq, e.event.time_ns))
+            );
+            for cut in 0..good.len() {
+                agree(&good[..cut]);
+            }
+            for extra in 0..=u8::MAX {
+                let mut long = good.clone();
+                long.push(extra);
+                agree(&long);
+            }
+            for bit in 0..good.len() * 8 {
+                let mut flipped = good.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                agree(&flipped);
+            }
+        }
+        // Both outcomes occur: some flips still decode (a bit inside a
+        // value or a string), most damage does not.
+        assert!(
+            accepted > 0 && rejected > accepted,
+            "{accepted} / {rejected}"
+        );
     }
 
     #[test]

@@ -8,12 +8,17 @@
 //!   to a valid *prefix* of the original trace: every record fully
 //!   flushed before the cut survives, nothing after the cut leaks
 //!   through, and appending continues seamlessly after recovery.
+//! * **Same cut as the full decoder** — a byte flipped inside a sealed
+//!   segment, with later segments behind it, truncates the store exactly
+//!   where walking the files with the full decoder would.
 //! * **Backend equivalence** — `entries_since`, `window`,
 //!   `window_bounds`, `get` and `to_json` agree byte-for-byte between
 //!   the in-memory store and the segmented disk store over random
 //!   traces, segment capacities and query points.
 
-use gmdf_engine::store::{encode_record, Codec, MemStore, SegmentConfig, SegmentStore, TraceStore};
+use gmdf_engine::store::{
+    encode_record, read_entries, Codec, MemStore, SegmentConfig, SegmentStore, TraceStore,
+};
 use gmdf_engine::{ExecutionTrace, TraceEntry};
 use gmdf_gdm::{EventKind, EventValue, ModelEvent, ReactionSpec};
 use proptest::prelude::*;
@@ -215,6 +220,72 @@ proptest! {
         let disk_trace = ExecutionTrace::with_store(Box::new(disk));
         let mem_trace = ExecutionTrace::with_store(Box::new(mem));
         prop_assert_eq!(disk_trace.to_json(), mem_trace.to_json());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+proptest! {
+    // Many cases: only a flip that keeps its frame decodable (a bit in
+    // a value, a string or a seq field) tests more than framing.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// XOR one byte of one segment file of a binary store with several
+    /// sealed segments: the reopened store holds exactly what walking
+    /// the files in order with the full decoder yields, cut at the first
+    /// undecodable frame or sequence break, and appends continue there.
+    #[test]
+    fn flipped_byte_in_a_segment_cuts_where_the_full_decoder_would(
+        shape in proptest::collection::vec((0u64..1_000, 0u8..6), 30..90),
+        capacity in 2usize..9,
+        file_pick in 0.0f64..1.0,
+        byte_pick in 0.0f64..1.0,
+        mask in 1u8..=255,
+    ) {
+        let entries = build_entries(&shape);
+        let dir = tmp_dir("flip");
+        write_store(&dir, config(capacity, Codec::Binary), &entries);
+        let files = segment_files(&dir);
+        prop_assert!(files.len() >= 3, "several sealed segments");
+        let (path, len) = &files[((files.len() as f64 * file_pick) as usize).min(files.len() - 1)];
+        let at = ((*len as f64 * byte_pick) as usize).min(*len as usize - 1);
+        let mut bytes = std::fs::read(path).expect("read");
+        bytes[at] ^= mask;
+        std::fs::write(path, &bytes).expect("write");
+
+        // The oracle: full decodes of each file in order, up to
+        // `capacity` entries each, ending at the first file that does
+        // not continue the sequence for a whole segment.
+        let mut expected: Vec<TraceEntry> = Vec::new();
+        for (path, _) in &files {
+            let (decoded, _) = read_entries(path, Codec::Binary).expect("decode");
+            let before = expected.len();
+            for e in decoded.into_iter().take(capacity) {
+                if e.seq != expected.len() as u64 {
+                    break;
+                }
+                expected.push(e);
+            }
+            if expected.len() - before < capacity {
+                break;
+            }
+        }
+
+        let mut recovered =
+            SegmentStore::open_with(&dir, config(capacity, Codec::Binary)).expect("recovery");
+        prop_assert_eq!(recovered.len(), expected.len() as u64);
+        let mut read_back = Vec::new();
+        recovered.read_into(0, u64::MAX, &mut read_back).expect("read");
+        prop_assert_eq!(&read_back, &expected);
+
+        let appended = entry(expected.len() as u64, 500, 1);
+        recovered.append(appended.clone()).expect("append after recovery");
+        recovered.sync().expect("sync");
+        expected.push(appended);
+        let reopened =
+            SegmentStore::open_with(&dir, config(capacity, Codec::Binary)).expect("reopen");
+        let mut read_back = Vec::new();
+        reopened.read_into(0, u64::MAX, &mut read_back).expect("read");
+        prop_assert_eq!(&read_back, &expected);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

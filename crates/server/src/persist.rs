@@ -199,33 +199,44 @@ pub(crate) struct ServerCheckpoint {
     pub session: gmdf::SessionCheckpoint,
 }
 
-/// Creates a fresh durable-session directory: writes the spec
-/// atomically and opens the journal, the checkpoint store and the trace
-/// store. Returns the session's durable record and its (empty) trace
-/// store.
+/// Creates a fresh durable-session directory: opens the journal, the
+/// trace store and the checkpoint store, then writes the spec
+/// atomically. Returns the session's durable record and its (empty)
+/// trace store.
+///
+/// `spec.json` goes last because it is what makes [`persisted_ids`]
+/// list the directory, and a failed step removes the directory: a
+/// session whose creation failed never comes back at a restart.
 pub(crate) fn create_session(
     config: &PersistConfig,
     id: u64,
     spec: &SessionSpec,
 ) -> Result<(Durable, SegmentStore), String> {
     let dir = session_dir(&config.root, id);
-    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    // Atomic: a spec torn by a power loss would quarantine the session
-    // forever even though its journal survived.
-    let spec_json = serde_json::to_string_pretty(spec).expect("spec serializes");
-    write_atomic(&dir.join("spec.json"), spec_json.as_bytes()).map_err(|e| e.to_string())?;
-    let journal = Journal::open(&dir.join("journal.log"))?;
-    let store = SegmentStore::open_with(dir.join("trace"), config.segment_config())
-        .map_err(|e| e.to_string())?;
-    let checkpoints = CheckpointStore::open(dir.join("checkpoints"))
-        .map_err(|e| format!("cannot open checkpoint store: {e}"))?;
-    let durable = Durable {
-        spec: spec.clone(),
-        journal,
-        checkpoints: Some(checkpoints),
-        checkpoint_interval: config.checkpoint_interval,
-    };
-    Ok((durable, store))
+    let created = (|| -> Result<(Durable, SegmentStore), String> {
+        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+        let journal = Journal::open(&dir.join("journal.log"))?;
+        let store = SegmentStore::open_with(dir.join("trace"), config.segment_config())
+            .map_err(|e| e.to_string())?;
+        let checkpoints = CheckpointStore::open(dir.join("checkpoints"))
+            .map_err(|e| format!("cannot open checkpoint store: {e}"))?;
+        // Atomic: a spec torn by a power loss would quarantine the
+        // session forever even though its journal survived.
+        let spec_json = serde_json::to_string_pretty(spec).expect("spec serializes");
+        write_atomic(&dir.join("spec.json"), spec_json.as_bytes()).map_err(|e| e.to_string())?;
+        let durable = Durable {
+            spec: spec.clone(),
+            journal,
+            checkpoints: Some(checkpoints),
+            checkpoint_interval: config.checkpoint_interval,
+        };
+        Ok((durable, store))
+    })();
+    if created.is_err() {
+        // Best effort: without spec.json a leftover is ignored anyway.
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    created
 }
 
 /// Session ids persisted under `root`, in ascending order.

@@ -679,7 +679,8 @@ impl DebugServer {
     ///
     /// [`ServerError::Persist`] on a non-persistent server or registry
     /// I/O failure, [`ServerError::SessionFailed`] when the spec does
-    /// not build.
+    /// not build. A failed add leaves no session directory behind, so a
+    /// restart does not bring the session back.
     pub fn add_durable_session(&self, spec: &SessionSpec) -> Result<SessionHandle, ServerError> {
         let Some(persist) = &self.persist else {
             return Err(ServerError::Persist(
@@ -2236,6 +2237,40 @@ mod tests {
         let resumed = handle.stats(WAIT).expect("stats");
         assert_eq!(resumed.pending, 0);
         assert_eq!(resumed.trace_len, paused.trace_len + paused.pending);
+        drop(server);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A durable add that fails part-way leaves no session behind. With
+    /// a plain file where the session's `checkpoints/` directory goes,
+    /// the add fails; a restart then hosts no session and quarantines
+    /// none, and the next add (same id, same directory) succeeds.
+    #[test]
+    fn failed_durable_add_leaves_no_session_behind() {
+        let spec = spec_of(ring_system("failed-add", 3, 0.0008, 500_000));
+        let root = std::env::temp_dir().join(format!("gmdf-failed-add-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let config = PersistConfig::new(&root);
+        let dir = persist::session_dir(&root, 0);
+        std::fs::create_dir_all(&dir).expect("create session dir");
+        std::fs::write(dir.join("checkpoints"), b"not a directory").expect("plain file");
+
+        let server = DebugServer::start_persistent(one_worker(), config.clone()).expect("boots");
+        match server.add_durable_session(&spec) {
+            Err(ServerError::Persist(message)) => {
+                assert!(message.contains("checkpoint store"), "{message}")
+            }
+            other => panic!("expected a persistence error, got {other:?}"),
+        }
+        drop(server);
+
+        let server = DebugServer::start_persistent(one_worker(), config).expect("restarts");
+        assert_eq!(server.session_ids(), Vec::<SessionId>::new());
+        assert!(server.quarantined_sessions().is_empty());
+        let handle = server
+            .add_durable_session(&spec)
+            .expect("the next add succeeds");
+        assert_eq!(handle.id(), 0);
         drop(server);
         let _ = std::fs::remove_dir_all(&root);
     }
