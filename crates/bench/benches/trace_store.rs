@@ -310,9 +310,7 @@ fn bench_time_travel(c: &mut Criterion) {
                 serde_json::from_str(&payload).expect("image parses");
             let mut session = seek_session();
             session.restore_state(&image).expect("restore");
-            session.resume_trace_store(Box::new(gmdf_engine::OffsetMemStore::new(
-                image.trace_len(),
-            )));
+            session.resume_trace_store(Box::new(MemStore::new(image.trace_len())));
             session.run_for(target_ns - ckpt_t_ns).expect("replay tail");
             black_box(session.engine().trace().len())
         })
@@ -326,7 +324,7 @@ criterion_group!(benches, bench_store, bench_time_travel);
 /// the in-memory backend (identical data, identical answer).
 fn window_comparison() -> Comparison {
     let n = trace_len();
-    let mut store = MemStore::new();
+    let mut store = MemStore::default();
     for seq in 0..n {
         store
             .append(TraceEntry {

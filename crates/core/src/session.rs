@@ -463,29 +463,20 @@ impl DebugSession {
         self.sim.now_ns()
     }
 
-    /// Pumps the session for one bounded time slice: advances the target
-    /// by `slice_ns`, then decodes the slice's UART bytes (or JTAG watch
-    /// hits) **in one batch** and feeds the resulting commands to the
-    /// engine in time order.
+    /// Runs the target for `duration_ns`: advances the target, then
+    /// decodes the span's UART bytes (or JTAG watch hits) **in one
+    /// batch** and feeds the resulting commands to the engine in time
+    /// order.
     ///
-    /// Slicing is exact — any partition of a horizon into slices feeds
-    /// the engine the identical command sequence (and therefore records a
-    /// byte-identical trace) as a single [`DebugSession::run_for`] over
+    /// Slicing is exact — any partition of a horizon into shorter
+    /// `run_for` calls feeds the engine the identical command sequence
+    /// (and therefore records a byte-identical trace) as one call over
     /// the whole horizon. A frame whose bytes straddle a slice boundary
     /// is completed by the stateful decoder on the following slice, at
-    /// the same timestamp it would have had in the one-shot run. This is
-    /// the façade a multi-session scheduler pumps; `DebugSession` is
-    /// `Send`, so sessions migrate freely onto worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn run_slice(&mut self, slice_ns: u64) -> Result<RunReport, SessionError> {
-        self.run_for(slice_ns)
-    }
-
-    /// Runs the target for `duration_ns`, pumping commands into the
-    /// engine as they arrive.
+    /// the same timestamp it would have had in the one-shot run. This
+    /// is what a multi-session scheduler pumps in bounded slices;
+    /// `DebugSession` is `Send`, so sessions migrate freely onto worker
+    /// threads.
     ///
     /// # Errors
     ///
@@ -711,7 +702,7 @@ mod tests {
         let mut k = 0usize;
         while sliced.now_ns() < 20_000_000 {
             let dt = [70_001, 333, 1_250_000, 13][k % 4].min(20_000_000 - sliced.now_ns());
-            sliced.run_slice(dt).unwrap();
+            sliced.run_for(dt).unwrap();
             k += 1;
         }
         assert_eq!(

@@ -106,7 +106,7 @@ fn trace_json(config: SimConfig, slices: Option<&[u64]>) -> String {
             let mut k = 0usize;
             while session.now_ns() < HORIZON_NS {
                 let dt = slices[k % slices.len()].min(HORIZON_NS - session.now_ns());
-                session.run_slice(dt).unwrap();
+                session.run_for(dt).unwrap();
                 k += 1;
             }
         }

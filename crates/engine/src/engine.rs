@@ -21,7 +21,6 @@ use gmdf_gdm::{
 use gmdf_render::Scene;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::mpsc;
 
 /// Engine control state (the Fig. 3 machine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,24 +51,6 @@ pub struct FeedOutcome {
     pub violations: usize,
 }
 
-/// A per-command notification delivered to engine subscribers.
-///
-/// Subscribers learn *that* something happened and where it sits in the
-/// trace; the full payload (event, reactions, violation messages) is read
-/// incrementally via [`ExecutionTrace::entries_since`] with `seq` as the
-/// cursor, so notices stay cheap to clone and send.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineNotice {
-    /// Trace sequence number of the processed command.
-    pub seq: u64,
-    /// The command's model time.
-    pub time_ns: u64,
-    /// Expectation violations this command raised.
-    pub violations: usize,
-    /// `true` if this command hit a breakpoint.
-    pub hit_breakpoint: bool,
-}
-
 /// Aggregate engine statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
@@ -93,7 +74,9 @@ pub struct DebuggerEngine {
     queue: VecDeque<ModelEvent>,
     trace: ExecutionTrace,
     stats: EngineStats,
-    taps: Vec<mpsc::Sender<EngineNotice>>,
+    /// `(seq, time_ns)` of each breakpoint hit not yet taken by
+    /// [`DebuggerEngine::take_breakpoint_hits`].
+    hits: Vec<(u64, u64)>,
 }
 
 impl DebuggerEngine {
@@ -109,7 +92,7 @@ impl DebuggerEngine {
             queue: VecDeque::new(),
             trace: ExecutionTrace::new(),
             stats: EngineStats::default(),
-            taps: Vec::new(),
+            hits: Vec::new(),
         }
     }
 
@@ -216,20 +199,16 @@ impl DebuggerEngine {
         self.queue.len()
     }
 
-    /// Subscribes to per-command notifications. Every *processed* command
-    /// (queued ones notify when stepped/resumed through) produces one
-    /// [`EngineNotice`] on the returned receiver. Disconnected
-    /// subscribers are pruned on the next notification; subscriptions
-    /// never block command processing.
-    pub fn subscribe(&mut self) -> mpsc::Receiver<EngineNotice> {
-        let (tx, rx) = mpsc::channel();
-        self.taps.push(tx);
-        rx
-    }
-
-    /// Number of live notification subscribers.
-    pub fn subscriber_count(&self) -> usize {
-        self.taps.len()
+    /// Takes the breakpoint hits recorded since the last take, in
+    /// order, as `(seq, time_ns)` of the command that hit: `seq`
+    /// addresses its entry in [`DebuggerEngine::trace`]. A hit pauses
+    /// the engine and a paused engine only queues, so the list holds at
+    /// most one hit more than the [`DebuggerEngine::resume`] calls
+    /// since the last take; [`DebuggerEngine::step`] never adds one.
+    /// The list is not part of [`EngineCheckpoint`], and
+    /// [`DebuggerEngine::restore_state`] leaves it as it is.
+    pub fn take_breakpoint_hits(&mut self) -> Vec<(u64, u64)> {
+        std::mem::take(&mut self.hits)
     }
 
     /// Installs a model-level breakpoint.
@@ -328,14 +307,8 @@ impl DebuggerEngine {
         let violations = violation_msgs.len();
         let time_ns = event.time_ns;
         let seq = self.trace.record(event, reactions, violation_msgs);
-        if !self.taps.is_empty() {
-            let notice = EngineNotice {
-                seq,
-                time_ns,
-                violations,
-                hit_breakpoint: hit,
-            };
-            self.taps.retain(|tap| tap.send(notice).is_ok());
+        if hit {
+            self.hits.push((seq, time_ns));
         }
         FeedOutcome {
             processed: true,
@@ -646,35 +619,19 @@ mod tests {
     }
 
     #[test]
-    fn subscribers_see_processed_commands_only() {
+    fn breakpoint_hits_are_kept_until_taken() {
         let mut e = DebuggerEngine::new(sample_gdm());
-        let rx = e.subscribe();
         e.add_breakpoint(CommandMatcher::kind(EventKind::StateEnter), false);
         e.feed(enter(1, "Run")); // processed, hits breakpoint
-        e.feed(enter(2, "Error")); // queued while paused — no notice yet
-        let n1 = rx.try_recv().unwrap();
-        assert_eq!(n1.seq, 0);
-        assert_eq!(n1.time_ns, 1);
-        assert!(n1.hit_breakpoint);
-        assert!(rx.try_recv().is_err());
-        // Stepping through the queued command notifies it.
+        e.feed(enter(2, "Error")); // queued while paused
+        e.feed(enter(3, "Idle"));
+        // Steps don't honor breakpoints, so stepping adds no hit.
         e.step().unwrap();
-        let n2 = rx.try_recv().unwrap();
-        assert_eq!(n2.seq, 1);
-        assert!(!n2.hit_breakpoint); // steps don't honor breakpoints
-                                     // The notice cursor addresses the trace delta.
-        assert_eq!(e.trace().entries_since(n2.seq).len(), 1);
-    }
-
-    #[test]
-    fn dropped_subscribers_are_pruned() {
-        let mut e = DebuggerEngine::new(sample_gdm());
-        let rx = e.subscribe();
-        let _rx2 = e.subscribe();
-        assert_eq!(e.subscriber_count(), 2);
-        drop(rx);
-        e.feed(enter(1, "Run"));
-        assert_eq!(e.subscriber_count(), 1);
+        // The resume re-hits on the next queued command.
+        e.resume();
+        assert_eq!(e.take_breakpoint_hits(), vec![(0, 1), (2, 3)]);
+        assert_eq!(e.trace().get(2).unwrap().event.time_ns, 3);
+        assert!(e.take_breakpoint_hits().is_empty());
     }
 
     #[test]

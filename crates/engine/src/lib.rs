@@ -52,8 +52,8 @@ mod trace;
 
 pub use classify::{classify, compare_behavior, BugClass, Divergence};
 pub use engine::{
-    apply_reaction, Breakpoint, DebuggerEngine, EngineCheckpoint, EngineNotice, EngineState,
-    EngineStats, FeedOutcome,
+    apply_reaction, Breakpoint, DebuggerEngine, EngineCheckpoint, EngineState, EngineStats,
+    FeedOutcome,
 };
 pub use expect::{allowed_transitions, Expectation, ExpectationMonitor, Violation};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, RecentSeries, StoreMetrics};

@@ -3,9 +3,11 @@
 //! The paper promises that GDM animation "always make\[s\] a record of the
 //! execution trace"; for long runs that record must not cost O(whole
 //! run) memory or die with the process. [`TraceStore`] abstracts where
-//! [`TraceEntry`]s live; [`MemStore`] is the classic `Vec` (the
-//! default), and [`SegmentStore`] is an append-only, segmented on-disk
-//! log:
+//! [`TraceEntry`]s live. [`MemStore`], the default, is one `Vec` with a
+//! base sequence number: 0 for a live in-memory trace or a snapshot, a
+//! checkpoint's trace length for a time-travel replica that records
+//! only what follows it. [`SegmentStore`] is an append-only, segmented
+//! on-disk log:
 //!
 //! ```text
 //! <dir>/
@@ -831,113 +833,46 @@ fn unpack_segment(data: &[u8]) -> Option<Vec<u8>> {
 // MemStore
 // ---------------------------------------------------------------------------
 
-/// The classic in-memory trace store: a `Vec` of entries. Fast,
-/// unbounded, gone when the process exits — the default backend.
-#[derive(Debug, Default, Clone)]
-pub struct MemStore {
-    entries: Vec<TraceEntry>,
-}
-
-impl MemStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A store pre-filled with `entries` (used when deserializing a
-    /// saved trace).
-    pub fn from_entries(entries: Vec<TraceEntry>) -> Self {
-        MemStore { entries }
-    }
-}
-
-impl TraceStore for MemStore {
-    fn append(&mut self, entry: TraceEntry) -> Result<(), StoreError> {
-        debug_assert_eq!(entry.seq, self.entries.len() as u64);
-        self.entries.push(entry);
-        Ok(())
-    }
-
-    fn len(&self) -> u64 {
-        self.entries.len() as u64
-    }
-
-    fn read_into(
-        &self,
-        from_seq: u64,
-        to_seq: u64,
-        out: &mut Vec<TraceEntry>,
-    ) -> Result<(), StoreError> {
-        let n = self.entries.len();
-        let from = (from_seq as usize).min(n);
-        let to = (to_seq as usize).min(n);
-        if from < to {
-            out.extend_from_slice(&self.entries[from..to]);
-        }
-        Ok(())
-    }
-
-    fn window_bounds(&self, t0_ns: u64, t1_ns: u64) -> Result<(u64, u64), StoreError> {
-        if t0_ns > t1_ns {
-            return Ok((0, 0));
-        }
-        // Entries are time-ordered, so both boundaries binary-search.
-        let lo = self.entries.partition_point(|e| e.event.time_ns < t0_ns);
-        let hi = self.entries.partition_point(|e| e.event.time_ns <= t1_ns);
-        if lo >= hi {
-            Ok((0, 0))
-        } else {
-            Ok((lo as u64, hi as u64))
-        }
-    }
-
-    fn time_range(&self) -> Option<(u64, u64)> {
-        let first = self.entries.first()?.event.time_ns;
-        let last = self.entries.last()?.event.time_ns;
-        Some((first, last))
-    }
-
-    fn sync(&mut self) -> Result<(), StoreError> {
-        Ok(())
-    }
-
-    fn as_slice(&self) -> Option<&[TraceEntry]> {
-        Some(&self.entries)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// OffsetMemStore
-// ---------------------------------------------------------------------------
-
-/// An in-memory trace store whose first entry has sequence number
-/// `base` instead of 0 — the backend a time-travel replica records
-/// into.
+/// The in-memory trace store: a `Vec` of entries whose first entry has
+/// sequence number `base`. Fast, unbounded, gone when the process
+/// exits.
 ///
-/// A replica restored from a checkpoint taken at trace length `base`
-/// regenerates entries `base, base+1, …` by deterministic replay; the
-/// entries below `base` already live in the durable store and are
-/// *not* re-recorded. [`TraceStore::len`] reports `base + stored`,
+/// `base` is 0 for a trace recorded from the start — the default
+/// backend, and what a saved trace or snapshot loads into. A time-travel
+/// replica restored from a checkpoint taken at trace length `base`
+/// records into a store with that base: it regenerates entries `base,
+/// base+1, …` by deterministic replay, while the entries below `base`
+/// already live in the durable store and are *not* re-recorded.
+/// [`TraceStore::len`] reports `base + stored`,
 /// [`TraceStore::first_retained_seq`] reports `base`, and reads below
 /// `base` clamp up to it, so the replica's trace numbering lines up
 /// exactly with the original run's.
-#[derive(Debug, Clone)]
-pub struct OffsetMemStore {
+#[derive(Debug, Default, Clone)]
+pub struct MemStore {
     base: u64,
     entries: Vec<TraceEntry>,
 }
 
-impl OffsetMemStore {
+/// Another name for [`MemStore`], kept for callers written against it.
+pub type OffsetMemStore = MemStore;
+
+impl MemStore {
     /// An empty store whose next append must carry `seq == base`.
     pub fn new(base: u64) -> Self {
-        OffsetMemStore {
+        MemStore {
             base,
             entries: Vec::new(),
         }
     }
+
+    /// A base-0 store pre-filled with `entries` (used when
+    /// deserializing a saved trace).
+    pub fn from_entries(entries: Vec<TraceEntry>) -> Self {
+        MemStore { base: 0, entries }
+    }
 }
 
-impl TraceStore for OffsetMemStore {
+impl TraceStore for MemStore {
     fn append(&mut self, entry: TraceEntry) -> Result<(), StoreError> {
         debug_assert_eq!(entry.seq, self.len());
         self.entries.push(entry);
@@ -954,9 +889,9 @@ impl TraceStore for OffsetMemStore {
         to_seq: u64,
         out: &mut Vec<TraceEntry>,
     ) -> Result<(), StoreError> {
-        let n = self.entries.len();
-        let from = (from_seq.max(self.base) - self.base).min(n as u64) as usize;
-        let to = (to_seq.max(self.base) - self.base).min(n as u64) as usize;
+        let n = self.entries.len() as u64;
+        let from = (from_seq.max(self.base) - self.base).min(n) as usize;
+        let to = (to_seq.max(self.base) - self.base).min(n) as usize;
         if from < to {
             out.extend_from_slice(&self.entries[from..to]);
         }
@@ -967,6 +902,7 @@ impl TraceStore for OffsetMemStore {
         if t0_ns > t1_ns {
             return Ok((0, 0));
         }
+        // Entries are time-ordered, so both boundaries binary-search.
         let lo = self.entries.partition_point(|e| e.event.time_ns < t0_ns);
         let hi = self.entries.partition_point(|e| e.event.time_ns <= t1_ns);
         if lo >= hi {
@@ -1503,10 +1439,10 @@ impl TraceStore for SegmentStore {
         // Sealed segments: one file read per touched segment.
         while seq < to && seq < self.tail_first {
             let meta = *self.sealed_containing(seq);
-            let entries = self.load_sealed(&meta)?;
+            let mut entries = self.load_sealed(&meta)?;
             let lo = (seq - meta.first_seq) as usize;
             let hi = ((to.min(meta.last_seq + 1)) - meta.first_seq) as usize;
-            out.extend_from_slice(&entries[lo..hi.min(entries.len())]);
+            out.extend(entries.drain(lo..hi));
             seq = meta.first_seq + hi as u64;
         }
         // Active tail: served from the in-memory cache.
@@ -1886,7 +1822,7 @@ mod tests {
     #[test]
     fn window_bounds_match_memory_semantics() {
         let dir = tmp_dir("window");
-        let mut mem = MemStore::new();
+        let mut mem = MemStore::default();
         let mut disk = SegmentStore::open(&dir, 3).unwrap();
         for i in 0..10 {
             let e = entry(i, 50 * i); // times 0,50,...,450
@@ -1992,7 +1928,7 @@ mod tests {
                 compacted_segments: 0
             }
         );
-        assert_eq!(MemStore::new().stats(), StoreStats::default());
+        assert_eq!(MemStore::default().stats(), StoreStats::default());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2238,7 +2174,7 @@ mod tests {
             },
         };
         let mut s = SegmentStore::open_with(&dir, config).unwrap();
-        let mut mem = MemStore::new();
+        let mut mem = MemStore::default();
         for i in 0..19 {
             let e = entry(i, 10 * i);
             s.append(e.clone()).unwrap();

@@ -123,7 +123,7 @@ impl Deserialize for ExecutionTrace {
 impl ExecutionTrace {
     /// Creates an empty in-memory trace.
     pub fn new() -> Self {
-        Self::with_store(Box::new(MemStore::new()))
+        Self::with_store(Box::new(MemStore::default()))
     }
 
     /// Creates a trace over `store`. A non-empty store puts the trace

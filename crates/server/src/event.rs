@@ -45,7 +45,11 @@ pub enum EngineEvent {
         /// Human-readable violation message.
         message: String,
     },
-    /// A model-level breakpoint paused the session's engine.
+    /// A model-level breakpoint paused the session's engine. Published
+    /// in the same turn as the [`EngineEvent::TraceDelta`] carrying the
+    /// entry that hit, and never for an entry below where the stream
+    /// starts: a subscriber that attaches to a restarted session is
+    /// not told again of hits its history already holds.
     BreakpointHit {
         /// The paused session.
         session: SessionId,

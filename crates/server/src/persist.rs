@@ -44,18 +44,19 @@
 //! (deterministic catch-up, see [`gmdf_engine::ExecutionTrace`]).
 //! Whatever run budget the journal grants beyond the restore point is
 //! handed back to the scheduler, which finishes the run as if the
-//! restart never happened.
+//! restart never happened. Publication resumes at the restored trace
+//! length, so breakpoint hits the replay and the catch-up re-derive
+//! are history and are not announced again.
 
 use crate::metrics::MetricsRegistry;
 use crate::PersistConfig;
 use gmdf::{DebugSession, Mutation, SessionSpec};
 use gmdf_engine::store::{encode_record, read_records, write_atomic, SegmentStore};
-use gmdf_engine::{CheckpointMeta, CheckpointStore, EngineNotice, TraceStore};
+use gmdf_engine::{CheckpointMeta, CheckpointStore, TraceStore};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
 use std::time::Instant;
 
 /// One journaled mutation: what was applied, and the target time the
@@ -371,18 +372,21 @@ pub(crate) fn rebuild(
 }
 
 /// A session rebuilt from its persisted state, ready to hand to the
-/// scheduler.
+/// scheduler. Its engine may hold breakpoint hits from the replay, and
+/// records more while the pump re-derives the rest of the stored
+/// trace; all of them sit below `trace_cursor`, so none is announced.
 #[derive(Debug)]
 pub(crate) struct RestoredSession {
     pub session: DebugSession,
-    pub notices: mpsc::Receiver<EngineNotice>,
     pub durable: Durable,
     /// Run budget granted by the whole journal but not yet consumed —
     /// the scheduler finishes it. The records before the restored
     /// image's position are not replayed, but their budget counts.
     pub remaining_ns: u64,
-    /// Where delta publication resumes (everything before is history,
-    /// served via `FetchRange`/`ReplayFrom`).
+    /// Where delta publication resumes: the trace length once the
+    /// journal is replayed, at least the recovered store's. Everything
+    /// before it, breakpoint hits included, is history, served via
+    /// `FetchRange`/`ReplayFrom`.
     pub trace_cursor: u64,
 }
 
@@ -438,9 +442,6 @@ pub(crate) fn restore_session(
     if let Some(oldest) = checkpoints.as_ref().and_then(CheckpointStore::oldest_seq) {
         session.set_trace_retain_floor(oldest);
     }
-    // Subscribed after the replay: its notices are history, already
-    // counted in the engine.
-    let notices = session.engine_mut().subscribe();
 
     let granted_ns = records
         .iter()
@@ -453,7 +454,6 @@ pub(crate) fn restore_session(
         remaining_ns: granted_ns.saturating_sub(session.now_ns()),
         trace_cursor: session.engine().trace().len() as u64,
         session,
-        notices,
         durable: Durable {
             spec,
             journal,

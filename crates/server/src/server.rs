@@ -33,8 +33,8 @@ use gmdf_analyze::AnalysisReport;
 use gmdf_comdes::SignalValue;
 use gmdf_engine::store::DEFAULT_SEGMENT_CAPACITY;
 use gmdf_engine::{
-    CheckpointMeta, Codec, DebuggerEngine, EngineNotice, ExecutionTrace, MemStore, OffsetMemStore,
-    Retention, SegmentConfig, StoreError, TraceEntry,
+    CheckpointMeta, Codec, DebuggerEngine, ExecutionTrace, MemStore, Retention, SegmentConfig,
+    StoreError, TraceEntry,
 };
 use gmdf_gdm::CommandMatcher;
 use serde::{Deserialize, Serialize};
@@ -375,8 +375,6 @@ impl std::error::Error for ServerError {}
 #[derive(Debug)]
 struct SessionInner {
     session: DebugSession,
-    /// Engine-level notification hook (breakpoint hits).
-    notices: mpsc::Receiver<EngineNotice>,
     /// Run budget not yet consumed.
     remaining_ns: u64,
     /// First trace sequence number subscribers have not seen yet.
@@ -401,14 +399,9 @@ struct SessionInner {
 impl SessionInner {
     /// The state of a session that has just been handed to the server:
     /// no run budget, nothing published, no subscribers.
-    fn new(
-        session: DebugSession,
-        notices: mpsc::Receiver<EngineNotice>,
-        durable: Option<persist::Durable>,
-    ) -> Self {
+    fn new(session: DebugSession, durable: Option<persist::Durable>) -> Self {
         SessionInner {
             session,
-            notices,
             remaining_ns: 0,
             trace_cursor: 0,
             subscribers: Vec::new(),
@@ -576,11 +569,7 @@ impl DebugServer {
                         SessionInner {
                             remaining_ns: restored.remaining_ns,
                             trace_cursor: restored.trace_cursor,
-                            ..SessionInner::new(
-                                restored.session,
-                                restored.notices,
-                                Some(restored.durable),
-                            )
+                            ..SessionInner::new(restored.session, Some(restored.durable))
                         },
                     );
                 }
@@ -662,10 +651,9 @@ impl DebugServer {
     /// command history die with the server — see
     /// [`DebugServer::add_durable_session`] for ones that survive a
     /// restart.
-    pub fn add_session(&self, mut session: DebugSession) -> SessionHandle {
+    pub fn add_session(&self, session: DebugSession) -> SessionHandle {
         let id = self.shared.next_id.fetch_add(1, Ordering::SeqCst);
-        let notices = session.engine_mut().subscribe();
-        self.register(id, SessionInner::new(session, notices, None))
+        self.register(id, SessionInner::new(session, None))
     }
 
     /// Builds a **durable** session from `spec` and registers it. The
@@ -694,8 +682,7 @@ impl DebugServer {
         let (durable, store) =
             persist::create_session(persist, id, spec).map_err(ServerError::Persist)?;
         session.set_trace_store(Box::new(store));
-        let notices = session.engine_mut().subscribe();
-        Ok(self.register(id, SessionInner::new(session, notices, Some(durable))))
+        Ok(self.register(id, SessionInner::new(session, Some(durable))))
     }
 
     /// Registers a cell for the session state `inner` under `id`. A
@@ -1420,7 +1407,7 @@ fn run_turn(shared: &Shared, cell: &Arc<SessionCell>) {
     if inner.failed.is_none() && inner.remaining_ns > 0 {
         let dt = shared.slice_ns.min(inner.remaining_ns);
         let slice_t0 = observed.then(Instant::now);
-        match inner.session.run_slice(dt) {
+        match inner.session.run_for(dt) {
             Ok(report) => {
                 inner.remaining_ns -= dt;
                 if let Some(t0) = slice_t0 {
@@ -1711,8 +1698,9 @@ fn maybe_checkpoint(inner: &mut SessionInner, id: SessionId, registry: &MetricsR
 
 /// A detached time-travel replica: an independent session rebuilt at
 /// some past instant from checkpoint + journal replay. Its trace store
-/// is an [`OffsetMemStore`] holding only the regenerated suffix, with
-/// absolute sequence numbers.
+/// is a [`MemStore`] based at the checkpoint's trace length, holding
+/// only the regenerated suffix with absolute sequence numbers. The
+/// replica's breakpoint hits are never taken: it publishes nothing.
 struct SeekReplica {
     session: DebugSession,
     /// Trace length at the restored checkpoint (0 when replaying from
@@ -1762,7 +1750,7 @@ fn seek_replica(
     let (mut session, replayed_commands) = persist::rebuild(
         &durable.spec,
         picked.as_ref().map(|(_, image)| image),
-        Box::new(OffsetMemStore::new(base)),
+        Box::new(MemStore::new(base)),
         records,
         target_ns,
     )
@@ -1942,24 +1930,29 @@ fn fail(inner: &mut SessionInner, id: SessionId, message: &str) {
     );
 }
 
-/// Publishes everything recorded since the last turn: breakpoint hits
-/// (from the engine notices), violation messages, and the trace delta.
-/// The notices are drained and the cursor advances every turn; the
-/// owned event payloads (the delta read-back, message strings) are only
-/// built when someone is subscribed.
+/// Publishes everything recorded since the last turn: breakpoint hits,
+/// violation messages, and the trace delta. One rule decides what is
+/// new to subscribers: an entry, and a hit on it, go out exactly when
+/// its `seq` is at or above the cursor the turn started with. So a hit
+/// goes out in the same turn as its entry's `TraceDelta`, and a hit on
+/// an entry below the cursor — history a restart re-derives during
+/// catch-up — is never announced. The engine's hits are taken and the
+/// cursor advances every turn; the owned event payloads (the delta
+/// read-back, message strings) are only built when someone is
+/// subscribed.
 fn publish_deltas(inner: &mut SessionInner, id: SessionId) {
     let has_subscribers = !inner.subscribers.is_empty();
+    let cursor = inner.trace_cursor;
     let mut events = Vec::new();
-    while let Ok(notice) = inner.notices.try_recv() {
-        if notice.hit_breakpoint && has_subscribers {
+    for (seq, time_ns) in inner.session.engine_mut().take_breakpoint_hits() {
+        if has_subscribers && seq >= cursor {
             events.push(EngineEvent::BreakpointHit {
                 session: id,
-                seq: notice.seq,
-                time_ns: notice.time_ns,
+                seq,
+                time_ns,
             });
         }
     }
-    let cursor = inner.trace_cursor;
     let trace_len = inner.session.engine().trace().len() as u64;
     let mut read_error: Option<StoreError> = None;
     if has_subscribers && trace_len > cursor {
@@ -2273,6 +2266,45 @@ mod tests {
         assert_eq!(handle.id(), 0);
         drop(server);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A session that hit a breakpoint before the server took it starts
+    /// publishing at its first entry, and the hit goes out with the
+    /// entry it sits on: one rule decides both.
+    #[test]
+    fn a_hit_before_registration_goes_out_with_its_entry() {
+        let mut session = spec_of(ring_system("early-hit", 3, 0.5, 500_000))
+            .build()
+            .expect("builds");
+        session
+            .engine_mut()
+            .add_breakpoint(CommandMatcher::kind(EventKind::StateEnter), true);
+        while session.engine().state() != EngineState::Paused {
+            assert!(session.now_ns() < 1_000_000_000, "the breakpoint hits");
+            session.run_for(500_000).expect("runs");
+        }
+        // A hit pauses the engine, so its entry is the newest one.
+        let trace = session.engine().trace();
+        let hit = trace.get(trace.len() as u64 - 1).expect("the hit's entry");
+
+        let server = DebugServer::start(one_worker());
+        let handle = server.add_session(session);
+        let events = handle.subscribe();
+        handle.run_for(1_000_000).expect("send");
+        handle.wait_idle(WAIT).expect("idle");
+        let mut hits = Vec::new();
+        let mut delivered = Vec::new();
+        for event in events.try_iter() {
+            match event {
+                EngineEvent::BreakpointHit { seq, time_ns, .. } => hits.push((seq, time_ns)),
+                EngineEvent::TraceDelta { entries, .. } => {
+                    delivered.extend(entries.iter().map(|e| e.seq));
+                }
+                _ => {}
+            }
+        }
+        assert!(delivered.contains(&hit.seq), "the hit's entry is published");
+        assert_eq!(hits, vec![(hit.seq, hit.event.time_ns)]);
     }
 
     /// A seek rebuilds from the session's in-memory spec and journal

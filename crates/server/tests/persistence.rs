@@ -285,7 +285,7 @@ proptest! {
         let mut k = 0usize;
         while disk.now_ns() < horizon {
             let dt = slices[k % slices.len()].min(horizon - disk.now_ns());
-            disk.run_slice(dt).expect("slice");
+            disk.run_for(dt).expect("slice");
             k += 1;
         }
         disk.sync_trace().expect("sync");
@@ -494,6 +494,63 @@ fn restart_skips_an_image_ahead_of_a_lost_trace_tail() {
     handle.wait_idle(WAIT).expect("lost tail regenerated");
     assert_eq!(handle.snapshot(WAIT).expect("snapshot"), expected);
     drop(server);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A restart re-derives the entries its store already holds, and a
+/// breakpoint hit on one of them is history, not news. A session paused
+/// by a one-shot breakpoint on its first entry is restarted five times
+/// (no checkpoints, so each restart re-runs it from zero): a subscriber
+/// attached right after each `start_persistent` hears no
+/// `BreakpointHit` and no event for an entry below the restored trace
+/// length.
+#[test]
+fn restart_does_not_reannounce_a_history_hit() {
+    let root = tmp_root("history-hit");
+    let config = || ServerConfig {
+        workers: 1,
+        ..server_config()
+    };
+    let persist = || PersistConfig::new(&root).with_checkpoint_interval(0);
+    let (id, stored) = {
+        let server = DebugServer::start_persistent(config(), persist()).expect("boots");
+        let handle = server
+            .add_durable_session(&spec_of(ring_system("history-hit", 3, 0.5, 500_000)))
+            .expect("durable session");
+        let events = handle.subscribe();
+        handle
+            .add_breakpoint(CommandMatcher::kind(EventKind::StateEnter), true)
+            .expect("send");
+        handle.run_for(800_000_000).expect("send");
+        handle.wait_idle(WAIT).expect("idle");
+        let hits: Vec<u64> = events
+            .try_iter()
+            .filter_map(|event| match event {
+                EngineEvent::BreakpointHit { seq, .. } => Some(seq),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(hits, vec![0], "the first life pauses on its first entry");
+        let stats = handle.stats(WAIT).expect("stats");
+        (handle.id(), stats.trace_len as u64)
+    };
+    for restart in 1..=5 {
+        let server = DebugServer::start_persistent(config(), persist()).expect("restart");
+        let handle = server.handle(id).expect("restored handle");
+        let events = handle.subscribe();
+        handle.wait_idle(WAIT).expect("catch-up finishes");
+        let stats = handle.stats(WAIT).expect("stats");
+        assert_eq!(stats.trace_len as u64, stored, "still paused");
+        for event in events.try_iter() {
+            let history = match &event {
+                EngineEvent::BreakpointHit { .. } => true,
+                EngineEvent::Violation { seq, .. } => *seq < stored,
+                EngineEvent::TraceDelta { entries, .. } => entries.iter().any(|e| e.seq < stored),
+                _ => false,
+            };
+            assert!(!history, "restart {restart} re-announced {event:?}");
+        }
+    }
     std::fs::remove_dir_all(&root).ok();
 }
 

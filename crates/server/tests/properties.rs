@@ -121,7 +121,7 @@ proptest! {
         let mut k = 0usize;
         while session.now_ns() < 12_000_000 {
             let dt = slices[k % slices.len()].min(12_000_000 - session.now_ns());
-            session.run_slice(dt).unwrap();
+            session.run_for(dt).unwrap();
             k += 1;
         }
         prop_assert_eq!(&session.engine().trace().to_json(), reference_trace());

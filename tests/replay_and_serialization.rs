@@ -217,14 +217,14 @@ proptest! {
             ), false);
         reference.engine_mut().resume();
         while reference.now_ns() < cut_ns {
-            reference.run_slice(slice.min(cut_ns - reference.now_ns())).unwrap();
+            reference.run_for(slice.min(cut_ns - reference.now_ns())).unwrap();
             reference.engine_mut().resume();
         }
         let image = reference.save_state();
         let round_tripped: gmdf::SessionCheckpoint =
             serde_json::from_str(&serde_json::to_string(&image).unwrap()).unwrap();
         while reference.now_ns() < horizon {
-            reference.run_slice(slice.min(horizon - reference.now_ns())).unwrap();
+            reference.run_for(slice.min(horizon - reference.now_ns())).unwrap();
             reference.engine_mut().resume();
         }
         let full_entries = reference.engine().trace().entries();
@@ -238,7 +238,7 @@ proptest! {
         replica.resume_trace_store(Box::new(OffsetMemStore::new(base)));
         prop_assert_eq!(replica.now_ns(), cut_ns, "clock restored");
         while replica.now_ns() < horizon {
-            replica.run_slice(slice.min(horizon - replica.now_ns())).unwrap();
+            replica.run_for(slice.min(horizon - replica.now_ns())).unwrap();
             replica.engine_mut().resume();
         }
         prop_assert_eq!(replica.now_ns(), reference.now_ns());
