@@ -59,8 +59,6 @@ pub struct ShardMetrics {
 /// [`crate::WireServer`].
 #[derive(Debug, Default)]
 pub struct WireMetrics {
-    /// Live TCP connections.
-    pub connections: Gauge,
     /// Frames encoded and written to clients.
     pub frames_tx: Counter,
     /// Frames read and decoded from clients.
@@ -418,7 +416,7 @@ pub struct FleetMetrics {
     /// Checkpoint load latency during seeks and restarts (read +
     /// parse).
     pub checkpoint_restore_ns: HistogramSnapshot,
-    /// Live wire connections.
+    /// Live wire connections: the number of [`Self::wire_conns`] rows.
     pub wire_connections: u64,
     /// Wire frames written.
     pub wire_frames_tx: u64,
@@ -626,6 +624,7 @@ pub(crate) fn fleet_skeleton(registry: &MetricsRegistry) -> FleetMetrics {
         });
     }
     let now_ms = registry.now_ms();
+    let wire_conns = registry.wire.connection_rows();
     FleetMetrics {
         sessions: 0,
         workers: registry.shards.len() as u64,
@@ -657,12 +656,12 @@ pub(crate) fn fleet_skeleton(registry: &MetricsRegistry) -> FleetMetrics {
         checkpoint_restores: registry.checkpoint_restores.get(),
         checkpoint_write_ns: registry.checkpoint_write_ns.snapshot(),
         checkpoint_restore_ns: registry.checkpoint_restore_ns.snapshot(),
-        wire_connections: registry.wire.connections.get(),
+        wire_connections: wire_conns.len() as u64,
         wire_frames_tx: registry.wire.frames_tx.get(),
         wire_frames_rx: registry.wire.frames_rx.get(),
         wire_bytes_tx: registry.wire.bytes_tx.get(),
         wire_bytes_rx: registry.wire.bytes_rx.get(),
-        wire_conns: registry.wire.connection_rows(),
+        wire_conns,
         memo_hits: 0,
         memo_misses: 0,
     }

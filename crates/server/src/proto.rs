@@ -244,6 +244,29 @@ pub enum ServerFrame {
     },
 }
 
+impl ServerFrame {
+    /// The request id this frame answers: `Some` for every reply,
+    /// request-level [`ServerFrame::Error`]s included; `None` for an
+    /// [`ServerFrame::Event`], the [`ServerFrame::HelloAck`] and a
+    /// connection-level `Error`. Both sides of the socket sort frames by
+    /// it — the server to name an oversized reply's request, the client
+    /// to tell its awaited reply from a stale one. The match has no
+    /// wildcard, so a new reply variant must say here what it answers.
+    pub(crate) fn reply_to(&self) -> Option<u64> {
+        match self {
+            ServerFrame::Ack { seq }
+            | ServerFrame::Snapshot { seq, .. }
+            | ServerFrame::Trace { seq, .. }
+            | ServerFrame::Sessions { seq, .. }
+            | ServerFrame::Metrics { seq, .. }
+            | ServerFrame::Seek { seq, .. }
+            | ServerFrame::Analysis { seq, .. } => Some(*seq),
+            ServerFrame::Error { seq, .. } => *seq,
+            ServerFrame::HelloAck { .. } | ServerFrame::Event { .. } => None,
+        }
+    }
+}
+
 /// The payload of a [`ClientFrame::Command`]: a state change for the
 /// session's mailbox, or a read answered with its own reply frame.
 ///
@@ -289,7 +312,7 @@ impl Deserialize for SessionCommand {
 /// [`MAX_FRAME_LEN`], so writing it would either truncate the length
 /// prefix or feed the peer a frame its decoder must reject. Carries the
 /// offending payload length so senders can substitute a bounded notice
-/// (see `write_server_frame` in the wire layer).
+/// (see `encode_server_frame` in the wire layer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameTooLarge {
     /// Encoded payload length that broke the limit.

@@ -7,9 +7,11 @@
 //! directory / metrics queries, and forwards session-addressed commands
 //! to the hosted sessions, and a single **streamer** that drains every
 //! attached session's queue round-robin and writes event frames in
-//! batches under the connection's write lock. A dashboard watching a
-//! 64-session fleet therefore costs one socket and two threads, not 64
-//! of each.
+//! batches under the connection's write lock. The two share one list of
+//! the connection's subscriptions: the reader adds a receiver on
+//! `Attach` and removes it on `Detach`, the streamer sweeps it. A
+//! dashboard watching a 64-session fleet therefore costs one socket and
+//! two threads, not 64 of each.
 //!
 //! Backpressure is per *(connection, session)*: every attach owns a
 //! bounded [`EventReceiver`], so one stalled attach fills its own queue
@@ -19,7 +21,9 @@
 //! attaches on the same socket, and the scheduler pump itself, never
 //! block. The streamer encodes into a reused per-connection buffer
 //! (zero steady-state allocations) and flushes whole batches per
-//! write-lock acquisition.
+//! write-lock acquisition. Every server frame, reply or event, is
+//! encoded by one function, `encode_server_frame`, which also swaps an
+//! oversized frame for one that fits.
 //!
 //! An optional shared-secret token ([`crate::ServerConfig::auth_token`])
 //! rides in the `Hello` frame and is compared in constant time.
@@ -29,10 +33,14 @@
 //! ([`WireClient::attach_many`]), demultiplexes their merged event
 //! stream ([`WireClient::next_event_from`]), polls the server's session
 //! directory ([`WireClient::list_sessions`]), and interleaves commands
-//! with event consumption on a single socket.
+//! with event consumption on a single socket. One read step sorts every
+//! incoming frame for every call: events are buffered, the awaited reply
+//! is returned, and a reply to any other request — one whose caller
+//! already timed out — is skipped, whatever its kind
+//! (`ServerFrame::reply_to` decides, on both sides of the socket).
 
 use crate::metrics::{
-    ConnMetrics, Gauge, MetricsRegistry, MetricsSnapshot, QuarantinedSession, SessionInfo,
+    ConnMetrics, MetricsRegistry, MetricsSnapshot, QuarantinedSession, SessionInfo,
 };
 use crate::proto::{
     decode_payload, encode_frame, encode_frame_into, ClientFrame, FrameDecoder, ServerFrame,
@@ -44,7 +52,6 @@ use crate::EngineEvent;
 use crate::SessionSnapshot;
 use gmdf::Mutation;
 use gmdf_analyze::AnalysisReport;
-use serde::Serialize;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
@@ -232,14 +239,14 @@ fn accept_loop(
                                 seq: None,
                                 message: format!("server cannot serve connection: {e}"),
                             };
-                            if let Ok(bytes) = encode_frame(&refused) {
-                                let _ = reporter.write_all(&bytes);
-                            }
+                            let mut bytes = Vec::new();
+                            encode_server_frame(&refused, &mut String::new(), &mut bytes);
+                            let _ = reporter.write_all(&bytes);
                         }
                     }
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
+            // Nothing to accept (or a transient accept error): poll again.
             Err(_) => std::thread::sleep(POLL),
         }
     }
@@ -259,7 +266,7 @@ enum ReadOutcome {
 /// otherwise the global [`crate::metrics::WireMetrics`] counters plus
 /// this connection's own [`ConnMetrics`] row. Cloned into the streamer
 /// thread; the per-connection row disappears from snapshots when the
-/// last clone drops.
+/// last clone drops, so the rows are also the live-connection count.
 #[derive(Debug, Clone)]
 struct Telemetry(Option<(Arc<MetricsRegistry>, Arc<ConnMetrics>)>);
 
@@ -404,140 +411,71 @@ fn write_bytes(
     Ok(())
 }
 
-/// Encodes and writes one frame (see [`write_bytes`]). A frame too
-/// large to encode fails the write — client frames are requests, and a
-/// request the peer can never receive has no useful substitute.
-fn write_frame<T: Serialize>(
-    stream: &TcpStream,
-    frame: &T,
-    shutdown: &AtomicBool,
-    closed: &AtomicBool,
-    tel: &Telemetry,
-) -> Result<(), ()> {
-    let bytes = encode_frame(frame).map_err(|_| ())?;
-    write_bytes(stream, &bytes, 1, shutdown, closed, tel)
-}
-
-/// The request id `frame` answers, if it is a reply.
-fn frame_seq(frame: &ServerFrame) -> Option<u64> {
-    match frame {
-        ServerFrame::Ack { seq }
-        | ServerFrame::Snapshot { seq, .. }
-        | ServerFrame::Trace { seq, .. }
-        | ServerFrame::Sessions { seq, .. }
-        | ServerFrame::Metrics { seq, .. }
-        | ServerFrame::Analysis { seq, .. }
-        | ServerFrame::Seek { seq, .. } => Some(*seq),
-        ServerFrame::Error { seq, .. } => *seq,
-        ServerFrame::HelloAck { .. } | ServerFrame::Event { .. } => None,
-    }
-}
-
-/// The fitting substitute for an oversized event frame: an in-stream
-/// [`EngineEvent::Lagged`] charging the event's payload (visible data
-/// loss, stream stays healthy and decodable).
-fn lagged_substitute(event: &EngineEvent) -> ServerFrame {
-    ServerFrame::Event {
-        event: EngineEvent::Lagged {
-            session: event.session(),
-            dropped: match event {
+/// Appends `frame` to `out` as one length-prefixed frame, rendering the
+/// JSON through the caller's `json` scratch buffer — the one encoder of
+/// every server frame. A frame past [`crate::proto::MAX_FRAME_LEN`] is
+/// replaced by one that fits: an event by an in-stream
+/// [`EngineEvent::Lagged`] charging its payload, a reply by an `Error`
+/// naming its request ([`ServerFrame::reply_to`]) — never a
+/// desynchronized stream the peer can only abandon. Returns the events
+/// the substitution dropped (0 when the frame fit or was no event).
+fn encode_server_frame(frame: &ServerFrame, json: &mut String, out: &mut Vec<u8>) -> u64 {
+    let Err(err) = encode_frame_into(frame, json, out) else {
+        return 0;
+    };
+    let (substitute, dropped) = match frame {
+        ServerFrame::Event { event } => {
+            let dropped = match event {
                 EngineEvent::TraceDelta { entries, .. } => entries.len() as u64,
                 _ => 1,
-            },
-        },
-    }
-}
-
-/// Like [`write_frame`], but substitutes a fitting frame when the
-/// encoding exceeds [`crate::proto::MAX_FRAME_LEN`]: an oversized event
-/// degrades to
-/// an in-stream [`EngineEvent::Lagged`] (visible data loss, stream
-/// stays healthy), an oversized reply to an `Error` naming the request
-/// — never a desynchronized stream the peer can only abandon.
-fn write_server_frame(
-    stream: &TcpStream,
-    frame: &ServerFrame,
-    shutdown: &AtomicBool,
-    closed: &AtomicBool,
-    tel: &Telemetry,
-) -> Result<(), ()> {
-    let bytes = match encode_frame(frame) {
-        Ok(bytes) => bytes,
-        Err(err) => {
-            let substitute = match frame {
-                ServerFrame::Event { event } => lagged_substitute(event),
-                other => ServerFrame::Error {
-                    seq: frame_seq(other),
-                    message: format!("reply: {err}"),
-                },
             };
-            encode_frame(&substitute).map_err(|_| ())?
+            let session = event.session();
+            let event = EngineEvent::Lagged { session, dropped };
+            (ServerFrame::Event { event }, dropped)
+        }
+        reply => {
+            let seq = reply.reply_to();
+            let message = format!("reply: {err}");
+            (ServerFrame::Error { seq, message }, 0)
         }
     };
-    write_bytes(stream, &bytes, 1, shutdown, closed, tel)
-}
-
-/// Holds the wire layer's live-connection gauge up for one connection's
-/// lifetime; the decrement rides the drop so every early return in
-/// [`serve_connection`] is covered.
-struct ConnectionGauge(Gauge);
-
-impl ConnectionGauge {
-    fn acquire(gauge: &Gauge) -> Self {
-        gauge.inc();
-        ConnectionGauge(gauge.clone())
-    }
-}
-
-impl Drop for ConnectionGauge {
-    fn drop(&mut self) {
-        self.0.dec();
-    }
-}
-
-/// What the reader hands the streamer: a new (or replacement)
-/// subscription to drain, or a detach. Sent over an `mpsc` channel and
-/// applied at the top of every streamer sweep; the reader raises the
-/// streamer's [`Notify`] after each send so ops apply immediately, not
-/// at the next poll tick.
-enum StreamOp {
-    /// Start draining this subscription. Replaces an existing
-    /// subscription to the same session (re-attach).
-    Attach(EventReceiver),
-    /// Stop draining (and drop) the subscription to this session.
-    Detach(SessionId),
+    encode_frame_into(&substitute, json, out).expect("a substitute frame fits");
+    dropped
 }
 
 fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc<AtomicBool>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL));
     let _ = stream.set_write_timeout(Some(POLL));
-    let registry = Arc::clone(server.metrics_registry());
-    let tel = Telemetry::acquire(&registry);
-    let _connections = registry
-        .enabled()
-        .then(|| ConnectionGauge::acquire(&registry.wire.connections));
+    let tel = Telemetry::acquire(server.metrics_registry());
     let closed = Arc::new(AtomicBool::new(false));
     let mut decoder = FrameDecoder::new();
+
+    // Replies and events share the socket: the reader writes replies
+    // directly (no queuing latency) and ONE streamer thread drains every
+    // attached session's queue, batching event frames; a write lock
+    // keeps whole frames (and batches) atomic between the two.
+    let write_lock = Arc::new(Mutex::new(()));
+    let reply = |frame: ServerFrame| {
+        let _guard = lock(&write_lock);
+        let mut bytes = Vec::new();
+        encode_server_frame(&frame, &mut String::new(), &mut bytes);
+        if write_bytes(&stream, &bytes, 1, shutdown, &closed, &tel).is_err() {
+            closed.store(true, Ordering::SeqCst);
+        }
+    };
+    // A connection-level refusal: the peer is told why, then dropped.
+    let refuse = |message: String| reply(ServerFrame::Error { seq: None, message });
 
     // Handshake: the first frame must be a version-matched Hello
     // carrying the shared secret, when the server requires one.
     match next_client_frame(&stream, &mut decoder, shutdown, &closed, &tel) {
         ReadOutcome::Frame(ClientFrame::Hello { version, token }) => {
             if version != crate::proto::WIRE_VERSION {
-                let _ = write_frame(
-                    &stream,
-                    &ServerFrame::Error {
-                        seq: None,
-                        message: format!(
-                            "wire version mismatch: server speaks {}, client sent {version}",
-                            crate::proto::WIRE_VERSION
-                        ),
-                    },
-                    shutdown,
-                    &closed,
-                    &tel,
-                );
+                refuse(format!(
+                    "wire version mismatch: server speaks {}, client sent {version}",
+                    crate::proto::WIRE_VERSION
+                ));
                 return;
             }
             if let Some(required) = server.auth_token() {
@@ -545,62 +483,32 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
                 if !ct_eq(required.as_bytes(), presented.as_bytes()) {
                     // One generic message for absent and wrong tokens
                     // alike — the reply must not narrate the secret.
-                    let _ = write_frame(
-                        &stream,
-                        &ServerFrame::Error {
-                            seq: None,
-                            message: "authentication failed".to_owned(),
-                        },
-                        shutdown,
-                        &closed,
-                        &tel,
-                    );
+                    refuse("authentication failed".to_owned());
                     return;
                 }
             }
         }
         ReadOutcome::Frame(_) => {
-            let _ = write_frame(
-                &stream,
-                &ServerFrame::Error {
-                    seq: None,
-                    message: "expected Hello as the first frame".to_owned(),
-                },
-                shutdown,
-                &closed,
-                &tel,
-            );
+            refuse("expected Hello as the first frame".to_owned());
             return;
         }
         ReadOutcome::Malformed(e) => {
-            let _ = write_frame(
-                &stream,
-                &ServerFrame::Error {
-                    seq: None,
-                    message: e,
-                },
-                shutdown,
-                &closed,
-                &tel,
-            );
+            refuse(e);
             return;
         }
         ReadOutcome::Stop => return,
     }
 
-    // Post-handshake, replies and events share the socket: the reader
-    // writes command replies directly (no queuing latency) and ONE
-    // streamer thread drains every attached session's queue, batching
-    // event frames; a write lock keeps whole frames (and batches)
-    // atomic between the two.
-    let write_lock = Arc::new(Mutex::new(()));
+    // The connection's subscriptions, one receiver per attached session:
+    // the reader adds and removes them, the streamer drains them.
+    let subs: Arc<Mutex<Vec<EventReceiver>>> = Arc::default();
     let notify = Arc::new(Notify::default());
-    let (ops_tx, ops_rx) = mpsc::channel::<StreamOp>();
     let streamer = {
         let stream_clone = match stream.try_clone() {
             Ok(s) => s,
             Err(_) => return,
         };
+        let subs_clone = Arc::clone(&subs);
         let shutdown_flag = Arc::clone(shutdown);
         let closed_flag = Arc::clone(&closed);
         let lock_clone = Arc::clone(&write_lock);
@@ -611,7 +519,7 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
             .spawn(move || {
                 event_loop(
                     &stream_clone,
-                    &ops_rx,
+                    &subs_clone,
                     &notify_clone,
                     &shutdown_flag,
                     &closed_flag,
@@ -625,24 +533,9 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
             // cannot honor its contract, so tell the peer and tear down
             // this one connection — never panic the accept path.
             Err(e) => {
-                let _ = write_frame(
-                    &stream,
-                    &ServerFrame::Error {
-                        seq: None,
-                        message: format!("server cannot stream events: {e}"),
-                    },
-                    shutdown,
-                    &closed,
-                    &tel,
-                );
+                refuse(format!("server cannot stream events: {e}"));
                 return;
             }
-        }
-    };
-    let reply = |frame: ServerFrame| {
-        let _guard = lock(&write_lock);
-        if write_server_frame(&stream, &frame, shutdown, &closed, &tel).is_err() {
-            closed.store(true, Ordering::SeqCst);
         }
     };
     reply(ServerFrame::HelloAck {
@@ -658,10 +551,6 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
             .collect(),
     });
 
-    // Which sessions this connection currently streams — reader-side
-    // bookkeeping for the attached gauge and detach idempotence; the
-    // streamer owns the receivers themselves.
-    let mut attached: BTreeSet<SessionId> = BTreeSet::new();
     loop {
         if closed.load(Ordering::SeqCst) {
             break;
@@ -670,10 +559,7 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
             ReadOutcome::Frame(ClientFrame::Hello { .. }) => {
                 // A connection-level violation; per the protocol
                 // contract a seq-less Error closes the connection.
-                reply(ServerFrame::Error {
-                    seq: None,
-                    message: "duplicate Hello".to_owned(),
-                });
+                refuse("duplicate Hello".to_owned());
                 break;
             }
             // Server-scope: answerable before (or without) an attach,
@@ -714,12 +600,20 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
                     // the ack; the client buffers it).
                     let receiver = handle
                         .subscribe_queue(capacity.map(|c| c as usize), Some(Arc::clone(&notify)));
-                    let _ = ops_tx.send(StreamOp::Attach(receiver));
+                    let mut list = lock(&subs);
+                    match list.iter_mut().find(|s| s.session() == session) {
+                        // Re-attach: the replacement subscription takes
+                        // over; dropping the old receiver unsubscribes
+                        // it server-side.
+                        Some(slot) => *slot = receiver,
+                        None => {
+                            list.push(receiver);
+                            tel.attach_inc();
+                        }
+                    }
+                    drop(list);
                     notify.notify();
                     reply(ServerFrame::Ack { seq });
-                    if attached.insert(session) {
-                        tel.attach_inc();
-                    }
                 }
                 None => reply(ServerFrame::Error {
                     seq: Some(seq),
@@ -729,11 +623,12 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
             ReadOutcome::Frame(ClientFrame::Detach { seq, session }) => {
                 // Idempotent: detaching a session that was never
                 // attached (or already detached) still acks.
-                if attached.remove(&session) {
-                    let _ = ops_tx.send(StreamOp::Detach(session));
-                    notify.notify();
+                let mut list = lock(&subs);
+                if let Some(pos) = list.iter().position(|s| s.session() == session) {
+                    list.remove(pos);
                     tel.attach_dec();
                 }
+                drop(list);
                 reply(ServerFrame::Ack { seq });
             }
             ReadOutcome::Frame(ClientFrame::Command {
@@ -764,10 +659,7 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
             ReadOutcome::Malformed(e) => {
                 // Written before `closed` is set, so the diagnostic
                 // still flushes to a live peer.
-                reply(ServerFrame::Error {
-                    seq: None,
-                    message: e,
-                });
+                refuse(e);
                 break;
             }
             ReadOutcome::Stop => break,
@@ -775,7 +667,6 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
     }
     closed.store(true, Ordering::SeqCst);
     notify.notify();
-    drop(ops_tx);
     let _ = streamer.join();
 }
 
@@ -792,13 +683,15 @@ fn reply_frame(seq: u64, reply: Reply) -> ServerFrame {
 }
 
 /// The per-connection event streamer — **one** thread no matter how
-/// many sessions are attached. Each sweep applies pending
-/// attach/detach ops, then drains the subscriptions round-robin (one
-/// event per subscription per round, so a chatty session cannot starve
-/// its siblings), encoding frames back-to-back into a reused batch
-/// buffer; the whole batch goes out under a single write-lock
-/// acquisition. When a full sweep finds nothing the streamer sleeps on
-/// the connection's [`Notify`] flag, which every queue push raises.
+/// many sessions are attached. Each sweep drains the connection's
+/// subscription list round-robin (one event per subscription per
+/// round, so a chatty session cannot starve its siblings), encoding
+/// frames back-to-back into a reused batch buffer; the whole batch goes
+/// out under a single write-lock acquisition, after the list lock is
+/// released — the reader adds and removes subscriptions in the same
+/// list, and never waits on a socket write to do so. When a full sweep
+/// finds nothing the streamer sleeps on the connection's [`Notify`]
+/// flag, which every queue push (and every attach) raises.
 ///
 /// Buffer reuse is the point: the v3 streamer allocated a fresh
 /// `String` (JSON) and a fresh `Vec` (length-prefixed bytes) per event
@@ -807,47 +700,28 @@ fn reply_frame(seq: u64, reply: Reply) -> ServerFrame {
 /// serializer itself needs.
 fn event_loop(
     stream: &TcpStream,
-    ops: &mpsc::Receiver<StreamOp>,
+    subs: &Mutex<Vec<EventReceiver>>,
     notify: &Notify,
     shutdown: &AtomicBool,
     closed: &AtomicBool,
     write_lock: &Mutex<()>,
     tel: &Telemetry,
 ) {
-    let mut subs: Vec<EventReceiver> = Vec::new();
     let mut json = String::new();
     let mut batch: Vec<u8> = Vec::new();
     loop {
         if shutdown.load(Ordering::SeqCst) || closed.load(Ordering::SeqCst) {
             return;
         }
-        // Apply pending attach/detach ops. A disconnected ops channel
-        // means the reader is gone; it sets `closed` before dropping
-        // its sender, so the top-of-loop check exits next sweep.
-        loop {
-            match ops.try_recv() {
-                Ok(StreamOp::Attach(receiver)) => {
-                    let session = receiver.session();
-                    match subs.iter_mut().find(|s| s.session() == session) {
-                        // Re-attach: the replacement subscription takes
-                        // over; dropping the old receiver unsubscribes
-                        // it server-side.
-                        Some(slot) => *slot = receiver,
-                        None => subs.push(receiver),
-                    }
-                }
-                Ok(StreamOp::Detach(session)) => subs.retain(|s| s.session() != session),
-                Err(mpsc::TryRecvError::Empty | mpsc::TryRecvError::Disconnected) => break,
-            }
-        }
         // Sweep: round-robin over the subscriptions, one event each per
         // round, until a full round finds nothing or the batch is full.
         batch.clear();
         let mut frames = 0u64;
         let mut dead: Vec<SessionId> = Vec::new();
+        let mut list = lock(subs);
         'sweep: loop {
             let mut progressed = false;
-            for sub in &subs {
+            for sub in list.iter() {
                 match sub.try_recv() {
                     Ok(event) => {
                         progressed = true;
@@ -855,19 +729,9 @@ fn event_loop(
                             tel.lagged(*dropped);
                         }
                         let frame = ServerFrame::Event { event };
-                        if encode_frame_into(&frame, &mut json, &mut batch).is_err() {
-                            let ServerFrame::Event { event } = &frame else {
-                                unreachable!()
-                            };
-                            let substitute = lagged_substitute(event);
-                            if let EngineEvent::Lagged { dropped, .. } = match &substitute {
-                                ServerFrame::Event { event } => event,
-                                _ => unreachable!(),
-                            } {
-                                tel.lagged(*dropped);
-                            }
-                            encode_frame_into(&substitute, &mut json, &mut batch)
-                                .expect("Lagged substitute frame fits");
+                        let dropped = encode_server_frame(&frame, &mut json, &mut batch);
+                        if dropped > 0 {
+                            tel.lagged(dropped);
                         }
                         frames += 1;
                         if batch.len() >= MAX_BATCH_BYTES {
@@ -886,8 +750,15 @@ fn event_loop(
             }
         }
         if !dead.is_empty() {
-            subs.retain(|s| !dead.contains(&s.session()));
+            list.retain(|s| {
+                let alive = !dead.contains(&s.session());
+                if !alive {
+                    tel.attach_dec();
+                }
+                alive
+            });
         }
+        drop(list);
         if frames > 0 {
             let guard = lock(write_lock);
             let ok = write_bytes(stream, &batch, frames, shutdown, closed, tel).is_ok();
@@ -908,11 +779,14 @@ fn event_loop(
 ///
 /// Events that arrive while the client waits for a command reply are
 /// buffered and handed out by [`WireClient::next_event`] /
-/// [`WireClient::next_event_from`] in arrival order — nothing on the
-/// stream is dropped client-side. Every session-scoped call names its
-/// session explicitly; attach first to stream events
-/// ([`WireClient::attach`], [`WireClient::attach_many`]), while
-/// commands and queries work without any attach.
+/// [`WireClient::next_event_from`] in arrival order. Only attached
+/// sessions' events are handed out: a straggler of a detached session
+/// is dropped. A reply whose caller already gave up (a timed-out call)
+/// is skipped, whatever its kind, so it never answers a later call.
+/// Every session-scoped call names its session explicitly; attach
+/// first to stream events ([`WireClient::attach`],
+/// [`WireClient::attach_many`]), while commands and queries work
+/// without any attach.
 #[derive(Debug)]
 pub struct WireClient {
     stream: TcpStream,
@@ -921,7 +795,7 @@ pub struct WireClient {
     sessions: Vec<SessionId>,
     quarantined: Vec<QuarantinedSession>,
     /// The currently attached sessions; events from any other session
-    /// (stragglers written around a detach) are filtered out.
+    /// (stragglers written around a detach) are never handed out.
     attached: BTreeSet<SessionId>,
     /// Request-id counter; replies echo it, so a stale reply left in
     /// flight by a timed-out call can never answer a later request.
@@ -1023,8 +897,8 @@ impl WireClient {
     pub fn list_sessions(&mut self, timeout: Duration) -> Result<Vec<SessionInfo>, WireError> {
         let seq = self.next_seq();
         self.write(&ClientFrame::ListSessions { seq })?;
-        self.wait_reply(seq, timeout, "Sessions", move |frame| match frame {
-            ServerFrame::Sessions { seq: s, sessions } if s == seq => Ok(sessions),
+        self.wait_reply(seq, timeout, "Sessions", |frame| match frame {
+            ServerFrame::Sessions { sessions, .. } => Ok(sessions),
             other => Err(other),
         })
     }
@@ -1047,8 +921,8 @@ impl WireClient {
     ) -> Result<AnalysisReport, WireError> {
         let seq = self.next_seq();
         self.write(&ClientFrame::Analyze { seq, session })?;
-        self.wait_reply(seq, timeout, "Analysis", move |frame| match frame {
-            ServerFrame::Analysis { seq: s, report } if s == seq => Ok(*report),
+        self.wait_reply(seq, timeout, "Analysis", |frame| match frame {
+            ServerFrame::Analysis { report, .. } => Ok(*report),
             other => Err(other),
         })
     }
@@ -1063,8 +937,8 @@ impl WireClient {
     pub fn metrics(&mut self, timeout: Duration) -> Result<MetricsSnapshot, WireError> {
         let seq = self.next_seq();
         self.write(&ClientFrame::ListMetrics { seq })?;
-        self.wait_reply(seq, timeout, "Metrics", move |frame| match frame {
-            ServerFrame::Metrics { seq: s, snapshot } if s == seq => Ok(*snapshot),
+        self.wait_reply(seq, timeout, "Metrics", |frame| match frame {
+            ServerFrame::Metrics { snapshot, .. } => Ok(*snapshot),
             other => Err(other),
         })
     }
@@ -1095,42 +969,52 @@ impl WireClient {
         session: SessionId,
         capacity: Option<u64>,
     ) -> Result<(), WireError> {
-        let seq = self.next_seq();
-        self.write(&ClientFrame::Attach {
-            seq,
-            session,
-            capacity,
-        })?;
-        self.wait_ack(seq)?;
-        self.attached.insert(session);
-        Ok(())
+        self.attach_all(&[(session, capacity)])
     }
 
     /// Attaches to every session in `sessions`, pipelined: all `Attach`
     /// frames go out back-to-back, then the acknowledgments are awaited
     /// in order — one round-trip for the whole batch instead of one per
-    /// session. Sessions acked before the first failure stay attached.
+    /// session. Every reply is awaited even after a refusal, and every
+    /// acknowledged session is attached, so the client streams exactly
+    /// the sessions the server subscribed.
     ///
     /// # Errors
     ///
-    /// [`WireError::Remote`] on the first unknown session, transport
-    /// errors otherwise.
+    /// [`WireError::Remote`] with the first refusal (an unknown
+    /// session), once every reply is in; transport errors otherwise.
     pub fn attach_many(&mut self, sessions: &[SessionId]) -> Result<(), WireError> {
-        let mut seqs = Vec::with_capacity(sessions.len());
-        for &session in sessions {
+        let attaches: Vec<_> = sessions.iter().map(|&session| (session, None)).collect();
+        self.attach_all(&attaches)
+    }
+
+    /// The one attach path: pipelines one `Attach` per `(session,
+    /// capacity)`, then awaits every reply, attaching each acknowledged
+    /// session and keeping the first refusal to return at the end.
+    fn attach_all(&mut self, attaches: &[(SessionId, Option<u64>)]) -> Result<(), WireError> {
+        let mut seqs = Vec::with_capacity(attaches.len());
+        for &(session, capacity) in attaches {
             let seq = self.next_seq();
             self.write(&ClientFrame::Attach {
                 seq,
                 session,
-                capacity: None,
+                capacity,
             })?;
             seqs.push((seq, session));
         }
+        let mut refused = None;
         for (seq, session) in seqs {
-            self.wait_ack(seq)?;
-            self.attached.insert(session);
+            match self.wait_ack(seq) {
+                Ok(()) => {
+                    self.attached.insert(session);
+                }
+                Err(e @ WireError::Remote(_)) => {
+                    refused.get_or_insert(e);
+                }
+                Err(e) => return Err(e),
+            }
         }
-        Ok(())
+        refused.map_or(Ok(()), Err)
     }
 
     /// Detaches from `session`: its events stop flowing (the server
@@ -1193,8 +1077,8 @@ impl WireClient {
         timeout: Duration,
     ) -> Result<SessionSnapshot, WireError> {
         let seq = self.query(session, Query::Snapshot { include_trace })?;
-        self.wait_reply(seq, timeout, "Snapshot", move |frame| match frame {
-            ServerFrame::Snapshot { seq: s, snapshot } if s == seq => Ok(snapshot),
+        self.wait_reply(seq, timeout, "Snapshot", |frame| match frame {
+            ServerFrame::Snapshot { snapshot, .. } => Ok(snapshot),
             other => Err(other),
         })
     }
@@ -1307,58 +1191,73 @@ impl WireClient {
 
     /// Waits for the [`ServerFrame::Seek`] reply answering `seq`.
     fn wait_seek(&mut self, seq: u64, timeout: Duration) -> Result<crate::SeekReport, WireError> {
-        self.wait_reply(seq, timeout, "Seek", move |frame| match frame {
-            ServerFrame::Seek { seq: s, report } if s == seq => Ok(*report),
+        self.wait_reply(seq, timeout, "Seek", |frame| match frame {
+            ServerFrame::Seek { report, .. } => Ok(*report),
             other => Err(other),
         })
     }
 
     /// Waits for the [`ServerFrame::Trace`] reply answering `seq`.
     fn wait_trace(&mut self, seq: u64, timeout: Duration) -> Result<crate::TraceSlice, WireError> {
-        self.wait_reply(seq, timeout, "Trace", move |frame| match frame {
-            ServerFrame::Trace { seq: s, slice } if s == seq => Ok(slice),
+        self.wait_reply(seq, timeout, "Trace", |frame| match frame {
+            ServerFrame::Trace { slice, .. } => Ok(slice),
             other => Err(other),
         })
     }
 
-    /// The shared reply wait: reads frames until `extract` accepts one,
-    /// buffering interleaved events, skipping stale replies left by
-    /// earlier timed-out requests, and surfacing this request's (or the
-    /// connection's) error.
+    /// The shared reply wait: read steps until the reply to `seq`
+    /// arrives, then `extract` takes it apart. A request-level `Error`
+    /// answering `seq` is [`WireError::Remote`]; any other reply kind
+    /// is a [`WireError::Protocol`] violation.
     fn wait_reply<T>(
         &mut self,
         seq: u64,
         timeout: Duration,
         what: &str,
-        extract: impl Fn(ServerFrame) -> Result<T, ServerFrame>,
+        extract: impl FnOnce(ServerFrame) -> Result<T, ServerFrame>,
     ) -> Result<T, WireError> {
         let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(WireError::Timeout);
+        let frame = loop {
+            if let Some(frame) = self.read_step(Some(seq), deadline)? {
+                break frame;
             }
-            match extract(self.read_frame(remaining)?) {
-                Ok(reply) => return Ok(reply),
-                Err(ServerFrame::Event { event }) => self.buffered.push_back(event),
-                Err(ServerFrame::Error { seq: Some(s), .. }) if s != seq => {} // stale
-                Err(ServerFrame::Error { message, .. }) => return Err(WireError::Remote(message)),
-                // Stale replies to requests whose caller already gave
-                // up; this request's reply is still coming.
-                Err(
-                    ServerFrame::Ack { .. }
-                    | ServerFrame::Snapshot { .. }
-                    | ServerFrame::Trace { .. }
-                    | ServerFrame::Sessions { .. }
-                    | ServerFrame::Metrics { .. }
-                    | ServerFrame::Seek { .. },
-                ) => {}
-                Err(other) => {
-                    return Err(WireError::Protocol(format!(
-                        "expected {what}, got {other:?}"
-                    )))
+        };
+        match extract(frame) {
+            Ok(reply) => Ok(reply),
+            Err(ServerFrame::Error { message, .. }) => Err(WireError::Remote(message)),
+            Err(other) => Err(WireError::Protocol(format!(
+                "expected {what}, got {other:?}"
+            ))),
+        }
+    }
+
+    /// The one read step every call loops on: reads one frame and sorts
+    /// it. An event joins the buffer and a reply to any request but
+    /// `seq` is stale — its caller gave up — and is skipped (both
+    /// `Ok(None)`); the reply to `seq` is returned. A connection-level
+    /// `Error` is [`WireError::Remote`], anything else
+    /// [`WireError::Protocol`].
+    fn read_step(
+        &mut self,
+        seq: Option<u64>,
+        deadline: Instant,
+    ) -> Result<Option<ServerFrame>, WireError> {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
+            return Err(WireError::Timeout);
+        }
+        let frame = self.read_frame(remaining)?;
+        match frame.reply_to() {
+            Some(answers) if Some(answers) == seq => Ok(Some(frame)),
+            Some(_) => Ok(None),
+            None => match frame {
+                ServerFrame::Event { event } => {
+                    self.buffered.push_back(event);
+                    Ok(None)
                 }
-            }
+                ServerFrame::Error { message, .. } => Err(WireError::Remote(message)),
+                other => Err(WireError::Protocol(format!("unexpected frame {other:?}"))),
+            },
         }
     }
 
@@ -1373,42 +1272,7 @@ impl WireClient {
     /// [`WireError::Timeout`] when `timeout` elapses first, transport
     /// or remote errors otherwise.
     pub fn next_event(&mut self, timeout: Duration) -> Result<crate::EngineEvent, WireError> {
-        while let Some(event) = self.buffered.pop_front() {
-            if self.wants(&event) {
-                return Ok(event);
-            }
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(WireError::Timeout);
-            }
-            match self.read_frame(remaining)? {
-                ServerFrame::Event { event } if self.wants(&event) => return Ok(event),
-                // A straggler from a detached session, written around
-                // the detach; not part of any current stream.
-                ServerFrame::Event { .. } => {}
-                // Stray replies from an earlier timed-out request (an
-                // Ack, a Snapshot, a Trace page, or a request-level
-                // Error that arrived after its caller gave up) are not
-                // events; skip them instead of poisoning an otherwise
-                // healthy connection.
-                ServerFrame::Ack { .. }
-                | ServerFrame::Snapshot { .. }
-                | ServerFrame::Trace { .. }
-                | ServerFrame::Sessions { .. }
-                | ServerFrame::Metrics { .. }
-                | ServerFrame::Seek { .. } => {}
-                ServerFrame::Error { seq: Some(_), .. } => {}
-                ServerFrame::Error { message, .. } => return Err(WireError::Remote(message)),
-                other => {
-                    return Err(WireError::Protocol(format!(
-                        "expected Event, got {other:?}"
-                    )))
-                }
-            }
-        }
+        self.next_event_where(timeout, |_| true)
     }
 
     /// The next event on `session`'s sub-stream: the per-session demux
@@ -1416,6 +1280,7 @@ impl WireClient {
     /// along the way stay buffered in arrival order for their own
     /// [`WireClient::next_event_from`] (or [`WireClient::next_event`])
     /// calls — draining one session never loses a sibling's events.
+    /// A session that is not attached gets no events.
     ///
     /// # Errors
     ///
@@ -1426,38 +1291,35 @@ impl WireClient {
         session: SessionId,
         timeout: Duration,
     ) -> Result<crate::EngineEvent, WireError> {
-        if let Some(pos) = self
-            .buffered
-            .iter()
-            .position(|event| event.session() == session)
-        {
-            return Ok(self.buffered.remove(pos).expect("position is in range"));
-        }
+        self.next_event_where(timeout, |of| of == session)
+    }
+
+    /// The first event of an attached session that `want` accepts. One
+    /// walk over the buffer in arrival order: events of sessions that
+    /// are not attached are dropped, events `want` declines stay, and
+    /// each read step appends at the walk's end, so a merged-stream
+    /// read costs O(1) per event. Attachment is checked here, when
+    /// events are handed out, not when they are read: the server
+    /// subscribes before it acknowledges an attach, so a session's
+    /// first events may arrive ahead of the `Ack`.
+    fn next_event_where(
+        &mut self,
+        timeout: Duration,
+        want: impl Fn(SessionId) -> bool,
+    ) -> Result<crate::EngineEvent, WireError> {
         let deadline = Instant::now() + timeout;
+        let mut at = 0;
         loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(WireError::Timeout);
-            }
-            match self.read_frame(remaining)? {
-                ServerFrame::Event { event } if event.session() == session => return Ok(event),
-                ServerFrame::Event { event } if self.wants(&event) => {
-                    self.buffered.push_back(event);
+            match self.buffered.get(at).map(crate::EngineEvent::session) {
+                Some(session) if !self.attached.contains(&session) => {
+                    self.buffered.remove(at);
                 }
-                // A straggler from a detached session.
-                ServerFrame::Event { .. } => {}
-                ServerFrame::Ack { .. }
-                | ServerFrame::Snapshot { .. }
-                | ServerFrame::Trace { .. }
-                | ServerFrame::Sessions { .. }
-                | ServerFrame::Metrics { .. }
-                | ServerFrame::Seek { .. } => {}
-                ServerFrame::Error { seq: Some(_), .. } => {}
-                ServerFrame::Error { message, .. } => return Err(WireError::Remote(message)),
-                other => {
-                    return Err(WireError::Protocol(format!(
-                        "expected Event, got {other:?}"
-                    )))
+                Some(session) if want(session) => {
+                    return Ok(self.buffered.remove(at).expect("index is in range"));
+                }
+                Some(_) => at += 1,
+                None => {
+                    self.read_step(None, deadline)?;
                 }
             }
         }
@@ -1558,16 +1420,10 @@ impl WireClient {
         self.send(session, Mutation::ClearBreakpoints)
     }
 
-    fn write<T: Serialize>(&mut self, frame: &T) -> Result<(), WireError> {
+    fn write(&mut self, frame: &ClientFrame) -> Result<(), WireError> {
         let bytes = encode_frame(frame).map_err(|e| WireError::Protocol(e.to_string()))?;
         self.stream.write_all(&bytes)?;
         Ok(())
-    }
-
-    /// `true` if `event` belongs to a currently attached session's
-    /// stream.
-    fn wants(&self, event: &crate::EngineEvent) -> bool {
-        self.attached.contains(&event.session())
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -1576,8 +1432,8 @@ impl WireClient {
     }
 
     fn wait_ack(&mut self, seq: u64) -> Result<(), WireError> {
-        self.wait_reply(seq, REPLY_WAIT, "Ack", move |frame| match frame {
-            ServerFrame::Ack { seq: s } if s == seq => Ok(()),
+        self.wait_reply(seq, REPLY_WAIT, "Ack", |frame| match frame {
+            ServerFrame::Ack { .. } => Ok(()),
             other => Err(other),
         })
     }

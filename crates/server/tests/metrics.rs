@@ -278,6 +278,14 @@ fn quarantined_sessions_surface_over_the_wire() {
     let server = Arc::new(
         DebugServer::start_persistent(config, PersistConfig::new(&root)).expect("restart"),
     );
+    // The survivor gets its journaled run budget back and re-runs it
+    // (no checkpoint image lies within its 2 ms); let it settle before
+    // asserting its row is `Parked`.
+    server
+        .handle(good)
+        .expect("the survivor is hosted")
+        .wait_idle(WAIT)
+        .expect("the survivor settles");
     let wire = WireServer::start(Arc::clone(&server), "127.0.0.1:0").expect("wire server");
     let mut client = WireClient::connect(wire.local_addr()).expect("handshake");
 

@@ -9,11 +9,14 @@
 //!   round-trip) to an in-process subscriber of the same run, and the
 //!   snapshot trace matches byte for byte;
 //! * **multiplexing** — one socket attaches many sessions
-//!   (`attach_many`), demultiplexes the merged stream per session,
-//!   survives detach/re-attach with straggler filtering, and a
-//!   200-client fan-out over a 32-session fleet on a single listener
-//!   stays byte-identical per attach with two server threads per
-//!   connection;
+//!   (`attach_many`, which attaches every session the server
+//!   acknowledged even when another is refused), demultiplexes the
+//!   merged stream per session, survives detach/re-attach with
+//!   straggler filtering, and a 200-client fan-out over a 32-session
+//!   fleet on a single listener stays byte-identical per attach with
+//!   two server threads per connection;
+//! * **stale replies** — a reply left in flight by a timed-out call,
+//!   whatever its kind, never answers a later call;
 //! * **backpressure** — a deliberately stalled client (or one stalled
 //!   attach among healthy siblings on the same socket) overflows its
 //!   own bounded queue (coalesce, then drop + `Lagged`), while the
@@ -670,6 +673,57 @@ fn analyze_round_trips_and_directory_carries_diagnostics() {
     }
 }
 
+/// Every reply kind, left in flight by a call that gave up at once,
+/// is skipped by the calls after it: the next `snapshot` gets its own
+/// reply, and the next `next_event` gets an event — never a
+/// `Protocol` error over someone else's answer. The `seek_to` on an
+/// in-memory session leaves a request-level `Error` in flight.
+#[test]
+fn a_stale_reply_never_answers_a_later_call() {
+    let (server, wire) = wired_server(ServerConfig::default());
+    let handle = server.add_session(active_session(blinker_system("stale", 0.002, 1_000_000)));
+    let id = handle.id();
+    let mut client = WireClient::connect(wire.local_addr()).expect("handshake");
+    client.attach(id).expect("attach");
+    let give_up_at_once = |client: &mut WireClient| {
+        let now = Duration::ZERO;
+        let outcomes = [
+            ("analyze", client.analyze(id, now).map(drop)),
+            ("list_sessions", client.list_sessions(now).map(drop)),
+            ("metrics", client.metrics(now).map(drop)),
+            ("snapshot", client.snapshot(id, true, now).map(drop)),
+            (
+                "fetch_range",
+                client.fetch_range(id, 0, u64::MAX, now).map(drop),
+            ),
+            ("replay_from", client.replay_from(id, 0, 0, now).map(drop)),
+            ("seek_to", client.seek_to(id, 0, false, now).map(drop)),
+        ];
+        for (call, outcome) in outcomes {
+            assert_eq!(
+                outcome,
+                Err(WireError::Timeout),
+                "{call} with a zero timeout"
+            );
+        }
+    };
+
+    // A later call reads past every stale reply to its own.
+    give_up_at_once(&mut client);
+    let snap = client.snapshot(id, false, WAIT).expect("a later snapshot");
+    assert_eq!(snap.trace_len, 0, "nothing ran yet");
+
+    // So does a later event read: the session runs in-process, so the
+    // stale replies reach `next_event` itself, ahead of or among the
+    // events.
+    give_up_at_once(&mut client);
+    handle.run_for(2_000_000).expect("run");
+    match client.next_event(WAIT) {
+        Ok(event) => assert_eq!(event.session(), id),
+        Err(e) => panic!("a later next_event failed: {e}"),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fidelity: the acceptance scenario
 // ---------------------------------------------------------------------------
@@ -1119,6 +1173,31 @@ fn multi_attach_demux_is_byte_identical_and_filters_stragglers() {
         }
     }
     assert!(fresh > 0, "re-attached session streamed nothing");
+}
+
+/// `attach_many` awaits every reply even after a refusal: the
+/// sessions the server acknowledged — before and after the refused
+/// one — are attached client-side too, so their streams are handed
+/// out rather than dropped as stragglers.
+#[test]
+fn attach_many_attaches_every_acknowledged_session() {
+    let (server, wire) = wired_server(ServerConfig::default());
+    let a = server.add_session(active_session(blinker_system("many_a", 0.002, 1_000_000)));
+    let b = server.add_session(active_session(blinker_system("many_b", 0.002, 1_000_000)));
+    let mut client = WireClient::connect(wire.local_addr()).expect("handshake");
+    match client.attach_many(&[a.id(), 99, b.id()]) {
+        Err(WireError::Remote(m)) => assert_eq!(m, "unknown session 99"),
+        other => panic!("expected the refusal of session 99, got {other:?}"),
+    }
+    assert_eq!(client.attached().collect::<Vec<_>>(), vec![a.id(), b.id()]);
+
+    // b, attached after the refusal, streams. A short timeout: a
+    // client that dropped b's events fails fast.
+    client.run_for(b.id(), 2_000_000).expect("run b");
+    match client.next_event(Duration::from_secs(5)) {
+        Ok(event) => assert_eq!(event.session(), b.id()),
+        Err(e) => panic!("b's stream was not handed out: {e}"),
+    }
 }
 
 /// One stalled attach among healthy siblings on the same socket: the
