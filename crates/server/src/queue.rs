@@ -23,6 +23,12 @@
 //!
 //! A capacity of `0` selects the legacy unbounded queue (no coalescing,
 //! no loss, unbounded memory) — the pre-backpressure behaviour.
+//!
+//! Waking: each queue raises one wake flag (`Notify`) on every push and
+//! when its sender drops, and its consumer sleeps on that flag, never on
+//! a clock — an in-process receiver in [`EventReceiver::recv_timeout`]
+//! on a flag of its own, a wire connection's streamer on one flag that
+//! all of the connection's attaches share.
 
 use crate::event::EngineEvent;
 use crate::metrics::{Counter, Gauge};
@@ -36,16 +42,15 @@ use std::time::{Duration, Instant};
 /// subscriber bounds memory even on a delta-only stream.
 pub const MAX_COALESCED_ENTRIES: usize = 4096;
 
-/// A shared wake flag for a consumer multiplexing **many** queues: the
-/// wire streamer drains every attach on its connection round-robin,
-/// so it cannot block inside any single queue's condvar. Each of its
-/// queues is built with the same `Arc<Notify>`; every push (and sender
-/// drop) raises the flag, and the streamer sleeps on
-/// [`Notify::wait_timeout`] only when a full sweep found nothing.
+/// A queue consumer's wake flag. Every queue raises its flag on each
+/// push and when its sender drops. An in-process receiver owns a flag
+/// of its own; a wire connection's streamer drains every attach on its
+/// connection round-robin, so all of its queues share one flag, and
+/// the reader raises it too on attach and on close.
 ///
 /// The flag is level-triggered and sticky: a notify that lands between
-/// the streamer's sweep and its wait returns the wait immediately, so
-/// no event can be stranded for a full poll interval.
+/// the consumer's check of its queues and its wait returns the wait
+/// immediately, so no wake is lost.
 #[derive(Debug, Default)]
 pub(crate) struct Notify {
     flag: Mutex<bool>,
@@ -59,26 +64,30 @@ impl Notify {
         self.cv.notify_all();
     }
 
-    /// Sleeps until the flag is raised (consuming it) or `timeout`
-    /// elapses. A flag raised before the call returns immediately.
-    pub(crate) fn wait_timeout(&self, timeout: Duration) {
-        let deadline = Instant::now() + timeout;
+    /// Sleeps until the flag is raised (consuming it) or `deadline`
+    /// passes; `None` waits for the flag alone. A flag raised before
+    /// the call returns immediately.
+    pub(crate) fn wait(&self, deadline: Option<Instant>) {
         let mut flag = lock(&self.flag);
-        loop {
-            if *flag {
-                *flag = false;
-                return;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            flag = self
-                .cv
-                .wait_timeout(flag, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .0;
+        while !*flag {
+            flag = match deadline {
+                None => self
+                    .cv
+                    .wait(flag)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return;
+                    }
+                    self.cv
+                        .wait_timeout(flag, left)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .0
+                }
+            };
         }
+        *flag = false;
     }
 }
 
@@ -97,31 +106,29 @@ struct Channel {
     /// Maximum queued events; `0` = unbounded (legacy behaviour).
     capacity: usize,
     state: Mutex<State>,
-    cv: Condvar,
     /// The owning session's cumulative drop counter — bumped alongside
     /// `State::dropped` so losses outlive this queue (they feed
     /// [`crate::SessionSnapshot::lagged_drops`]).
     lagged: Counter,
     /// Fleet-wide queued-event gauge, when metrics are enabled.
     depth: Option<Gauge>,
-    /// External wake hook for consumers multiplexing many queues (the
-    /// wire streamer); raised on every push and on sender drop.
-    notify: Option<Arc<Notify>>,
+    /// The consumer's wake flag, raised on every push and on sender
+    /// drop.
+    notify: Arc<Notify>,
 }
 
 /// Creates one subscriber queue for `session` with the given capacity
 /// (`0` = unbounded). Drops are counted into `lagged` (the session's
 /// cumulative counter) in addition to the in-stream `Lagged` report;
 /// `depth` — when present — tracks the queue's current length in the
-/// fleet-wide subscriber-depth gauge; `notify` — when present — is
-/// raised on every push so a consumer sweeping many queues (the wire
-/// streamer) can sleep on one flag instead of polling each condvar.
+/// fleet-wide subscriber-depth gauge; `notify` is the consumer's wake
+/// flag, raised on every push and on sender drop.
 pub(crate) fn channel(
     session: SessionId,
     capacity: usize,
     lagged: Counter,
     depth: Option<Gauge>,
-    notify: Option<Arc<Notify>>,
+    notify: Arc<Notify>,
 ) -> (EventSender, EventReceiver) {
     let chan = Arc::new(Channel {
         session,
@@ -132,7 +139,6 @@ pub(crate) fn channel(
             rx_alive: true,
             tx_alive: true,
         }),
-        cv: Condvar::new(),
         lagged,
         depth,
         notify,
@@ -163,10 +169,7 @@ impl EventSender {
                     if tail.len() + entries.len() <= MAX_COALESCED_ENTRIES {
                         tail.append(&mut entries);
                         drop(s);
-                        ch.cv.notify_one();
-                        if let Some(notify) = &ch.notify {
-                            notify.notify();
-                        }
+                        ch.notify.notify();
                         return true;
                     }
                 }
@@ -190,10 +193,7 @@ impl EventSender {
             depth.inc();
         }
         drop(s);
-        ch.cv.notify_one();
-        if let Some(notify) = &ch.notify {
-            notify.notify();
-        }
+        ch.notify.notify();
         true
     }
 }
@@ -201,10 +201,7 @@ impl EventSender {
 impl Drop for EventSender {
     fn drop(&mut self) {
         lock(&self.0.state).tx_alive = false;
-        self.0.cv.notify_all();
-        if let Some(notify) = &self.0.notify {
-            notify.notify();
-        }
+        self.0.notify.notify();
     }
 }
 
@@ -278,7 +275,8 @@ impl EventReceiver {
         }
     }
 
-    /// Blocking receive with a timeout.
+    /// Blocking receive with a timeout: sleeps on the queue's wake flag,
+    /// which the next push or the sender's drop raises.
     ///
     /// # Errors
     ///
@@ -287,24 +285,17 @@ impl EventReceiver {
     /// gone *and* the queue is drained.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<EngineEvent, mpsc::RecvTimeoutError> {
         let deadline = Instant::now() + timeout;
-        let mut s = lock(&self.0.state);
         loop {
-            if let Some(event) = take_next(&self.0, &mut s) {
-                return Ok(event);
+            match self.try_recv() {
+                Ok(event) => return Ok(event),
+                Err(mpsc::TryRecvError::Disconnected) => {
+                    return Err(mpsc::RecvTimeoutError::Disconnected)
+                }
+                Err(mpsc::TryRecvError::Empty) if Instant::now() >= deadline => {
+                    return Err(mpsc::RecvTimeoutError::Timeout)
+                }
+                Err(mpsc::TryRecvError::Empty) => self.0.notify.wait(Some(deadline)),
             }
-            if !s.tx_alive {
-                return Err(mpsc::RecvTimeoutError::Disconnected);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(mpsc::RecvTimeoutError::Timeout);
-            }
-            s = self
-                .0
-                .cv
-                .wait_timeout(s, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .0;
         }
     }
 
@@ -325,7 +316,7 @@ impl Drop for EventReceiver {
             depth.sub(s.events.len() as u64);
         }
         s.events.clear();
-        // No cv notify needed: only the receiver waits on the condvar.
+        // No notify needed: only the receiver waits on the flag.
     }
 }
 
@@ -370,7 +361,7 @@ mod tests {
 
     #[test]
     fn unbounded_queue_never_drops() {
-        let (tx, rx) = channel(7, 0, Counter::new(), None, None);
+        let (tx, rx) = channel(7, 0, Counter::new(), None, Arc::default());
         for i in 0..1000 {
             assert!(tx.push(idle(i)));
         }
@@ -380,7 +371,7 @@ mod tests {
 
     #[test]
     fn overflow_coalesces_consecutive_trace_deltas() {
-        let (tx, rx) = channel(7, 2, Counter::new(), None, None);
+        let (tx, rx) = channel(7, 2, Counter::new(), None, Arc::default());
         assert!(tx.push(delta(0..2)));
         assert!(tx.push(delta(2..4)));
         // Queue full; the next delta merges into the newest one.
@@ -396,7 +387,7 @@ mod tests {
 
     #[test]
     fn overflow_drops_oldest_and_reports_lagged_first() {
-        let (tx, rx) = channel(7, 2, Counter::new(), None, None);
+        let (tx, rx) = channel(7, 2, Counter::new(), None, Arc::default());
         assert!(tx.push(idle(0)));
         assert!(tx.push(idle(1)));
         assert!(tx.push(idle(2))); // drops idle(0)
@@ -414,7 +405,7 @@ mod tests {
 
     #[test]
     fn dropped_trace_delta_counts_its_entries() {
-        let (tx, rx) = channel(7, 1, Counter::new(), None, None);
+        let (tx, rx) = channel(7, 1, Counter::new(), None, Arc::default());
         assert!(tx.push(delta(0..3)));
         assert!(tx.push(idle(0))); // cannot coalesce → drops the delta
         let got: Vec<_> = rx.try_iter().collect();
@@ -430,7 +421,7 @@ mod tests {
 
     #[test]
     fn bounded_queue_length_never_exceeds_capacity() {
-        let (tx, rx) = channel(7, 4, Counter::new(), None, None);
+        let (tx, rx) = channel(7, 4, Counter::new(), None, Arc::default());
         for i in 0..100 {
             assert!(tx.push(idle(i)));
             assert!(rx.len() <= 4);
@@ -439,14 +430,14 @@ mod tests {
 
     #[test]
     fn receiver_drop_unsubscribes() {
-        let (tx, rx) = channel(7, 0, Counter::new(), None, None);
+        let (tx, rx) = channel(7, 0, Counter::new(), None, Arc::default());
         drop(rx);
         assert!(!tx.push(idle(0)));
     }
 
     #[test]
     fn sender_drop_disconnects_after_drain() {
-        let (tx, rx) = channel(7, 0, Counter::new(), None, None);
+        let (tx, rx) = channel(7, 0, Counter::new(), None, Arc::default());
         assert!(tx.push(idle(0)));
         drop(tx);
         assert!(rx.try_recv().is_ok());
@@ -463,21 +454,21 @@ mod tests {
     #[test]
     fn notify_wakes_on_push_and_is_sticky() {
         let notify = Arc::new(Notify::default());
-        let (tx, rx) = channel(7, 0, Counter::new(), None, Some(Arc::clone(&notify)));
+        let (tx, rx) = channel(7, 0, Counter::new(), None, Arc::clone(&notify));
         // Raised before the wait: returns immediately (sticky flag).
         assert!(tx.push(idle(0)));
         let start = Instant::now();
-        notify.wait_timeout(Duration::from_secs(5));
+        notify.wait(Some(start + Duration::from_secs(5)));
         assert!(start.elapsed() < Duration::from_secs(1));
         // Flag was consumed: with nothing new, the wait times out.
         let start = Instant::now();
-        notify.wait_timeout(Duration::from_millis(10));
+        notify.wait(Some(start + Duration::from_millis(10)));
         assert!(start.elapsed() >= Duration::from_millis(10));
         // Sender drop raises it too, so a sweeping consumer notices
         // disconnects without polling.
         drop(tx);
         let start = Instant::now();
-        notify.wait_timeout(Duration::from_secs(5));
+        notify.wait(Some(start + Duration::from_secs(5)));
         assert!(start.elapsed() < Duration::from_secs(1));
         drop(rx);
     }

@@ -20,6 +20,13 @@
 //! Lock order is `inner → mailbox` (the worker and `wait_idle` both
 //! follow it; command senders touch only the mailbox), so the server
 //! cannot deadlock on its own locks.
+//!
+//! No wait runs on a clock: each sleeps until the thing it waits for
+//! wakes it. A worker sleeps until its shard's queue gets a session or
+//! the server shuts down; `wait_idle` until a turn leaves its session
+//! quiescent, the session fails, or the server shuts down; a query
+//! until its reply comes or its reply channel is dropped; the compactor
+//! until its next sweep is due or the server shuts down.
 
 use crate::event::{EngineEvent, SeekReport, SessionSnapshot, TraceSlice};
 use crate::metrics::{
@@ -48,11 +55,6 @@ use std::time::{Duration, Instant};
 
 /// Identifies one hosted session for the lifetime of its server.
 pub type SessionId = u64;
-
-/// How long a worker sleeps between run-queue polls when idle, and the
-/// re-check period of blocking waiters — a lost-wakeup backstop, not the
-/// scheduling granularity (queue pushes notify immediately).
-const POLL: Duration = Duration::from_millis(20);
 
 /// Locks a mutex, recovering the guard if a previous holder panicked —
 /// a worker panic fails one session (see [`worker_loop`]), it must not
@@ -426,7 +428,7 @@ struct SessionCell {
     shard: usize,
     inner: Mutex<SessionInner>,
     /// Paired with `inner`; notified whenever a turn leaves the session
-    /// quiescent.
+    /// quiescent, whenever the session fails, and on shutdown.
     idle_cv: Condvar,
     mailbox: Mutex<VecDeque<Mail>>,
     /// `true` while the session sits in (or is being pushed onto) its
@@ -908,11 +910,20 @@ impl DebugServer {
             let _ = handle.join();
         }
         if let Some(handle) = self.compactor.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
-        // Wake blocking waiters (wait_idle) so they observe the
-        // shutdown instead of sleeping out their timeout.
+        let registry = &self.shared.metrics;
         for cell in lock(&self.sessions).iter() {
+            // No worker drains a mailbox again: drop what is left, so a
+            // query still waiting sees its reply channel disconnect.
+            let cleared = lock(&cell.mailbox).drain(..).count();
+            if registry.enabled() {
+                registry.mailbox_depth.sub(cleared as u64);
+            }
+            // Wake `wait_idle` callers under the lock they check in, so
+            // none misses the shutdown.
+            let _guard = lock(&cell.inner);
             cell.idle_cv.notify_all();
         }
     }
@@ -985,32 +996,22 @@ impl SessionHandle {
     /// the reply. A time-travel failure comes back as
     /// [`ServerError::Persist`]; a dropped reply as the session or
     /// server failure that caused it.
+    ///
+    /// The wait ends with the reply, or when its sender is dropped
+    /// unanswered: by a turn that failed the session, or by
+    /// [`DebugServer::shutdown`], which clears every mailbox.
     pub(crate) fn query(&self, query: Query, timeout: Duration) -> Result<Reply, ServerError> {
         let (tx, rx) = mpsc::channel();
         self.post(Mail::Query(query, tx))?;
-        let deadline = Instant::now() + timeout;
-        loop {
-            match rx.recv_timeout(POLL) {
-                Ok(reply) => return reply.map_err(ServerError::Persist),
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    // The reply sender was dropped undelivered. Usually
-                    // that means shutdown — but a panicked turn unwinds
-                    // the drained query too; report the session
-                    // failure, not a bogus server death.
-                    if let Some(msg) = &lock(&self.cell.inner).failed {
-                        return Err(ServerError::SessionFailed(msg.clone()));
-                    }
-                    return Err(ServerError::Shutdown);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if self.shared.shutdown.load(Ordering::SeqCst) {
-                        return Err(ServerError::Shutdown);
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(ServerError::Timeout);
-                    }
-                }
-            }
+        match rx.recv_timeout(timeout) {
+            Ok(reply) => reply.map_err(ServerError::Persist),
+            // A panicked turn unwinds the drained query too: report the
+            // session failure, not a bogus server death.
+            Err(mpsc::RecvTimeoutError::Disconnected) => match &lock(&self.cell.inner).failed {
+                Some(msg) => Err(ServerError::SessionFailed(msg.clone())),
+                None => Err(ServerError::Shutdown),
+            },
+            Err(mpsc::RecvTimeoutError::Timeout) => Err(ServerError::Timeout),
         }
     }
 
@@ -1022,23 +1023,24 @@ impl SessionHandle {
     /// instead of growing memory without bound. Drop the receiver to
     /// unsubscribe.
     pub fn subscribe(&self) -> EventReceiver {
-        self.subscribe_queue(None, None)
+        self.subscribe_queue(None, Arc::default())
     }
 
     /// Like [`SessionHandle::subscribe`] with an explicit queue
     /// capacity (`0` = unbounded, the legacy behaviour).
     pub fn subscribe_with_capacity(&self, capacity: usize) -> EventReceiver {
-        self.subscribe_queue(Some(capacity), None)
+        self.subscribe_queue(Some(capacity), Arc::default())
     }
 
     /// Registers one subscriber queue (`None` capacity = the server's
-    /// default). The wire streamer passes a `notify` flag the queue
-    /// raises on every push, so one streamer thread can sleep on it
-    /// while draining every attach on its connection.
+    /// default) that raises `notify` on every push. An in-process
+    /// receiver gets a flag of its own; the wire streamer passes one
+    /// flag for every attach on its connection, so one thread can sleep
+    /// on it while draining them all.
     pub(crate) fn subscribe_queue(
         &self,
         capacity: Option<usize>,
-        notify: Option<Arc<crate::queue::Notify>>,
+        notify: Arc<crate::queue::Notify>,
     ) -> EventReceiver {
         let capacity = capacity.unwrap_or(self.shared.default_subscriber_capacity);
         let mut inner = lock(&self.cell.inner);
@@ -1259,7 +1261,9 @@ impl SessionHandle {
     }
 
     /// Blocks until the session is quiescent: no run budget left, empty
-    /// mailbox, and not on its shard's run queue.
+    /// mailbox, and not on its shard's run queue. The wait is woken by
+    /// the turn that leaves the session quiescent, by every path that
+    /// fails the session, and by [`DebugServer::shutdown`].
     ///
     /// # Errors
     ///
@@ -1279,13 +1283,14 @@ impl SessionHandle {
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 return Err(ServerError::Shutdown);
             }
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Err(ServerError::Timeout);
             }
             inner = self
                 .cell
                 .idle_cv
-                .wait_timeout(inner, POLL)
+                .wait_timeout(inner, left)
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .0;
         }
@@ -1293,6 +1298,10 @@ impl SessionHandle {
 }
 
 /// One worker: pops sessions off its shard queue and gives each a turn.
+/// An idle worker sleeps on its shard's condvar until `enqueue` pushes
+/// a session or `shutdown` notifies. The push and the shutdown's notify
+/// both happen under the queue lock that the worker checks in, so no
+/// wake is lost.
 fn worker_loop(shared: &Shared, shard_idx: usize) {
     let shard = &shared.shards[shard_idx];
     loop {
@@ -1307,9 +1316,8 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
                 }
                 queue = shard
                     .cv
-                    .wait_timeout(queue, POLL)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .0;
+                    .wait(queue)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
         // Clear the flag *before* draining the mailbox: a command posted
@@ -1342,19 +1350,20 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
 /// session's state lock; sessions are swept strictly one at a time so a
 /// long compression never blocks more than one shard's pump. A
 /// maintenance failure fails the session (its history can no longer be
-/// trusted to be contiguous), never the server.
+/// trusted to be contiguous), never the server. Between sweeps the
+/// thread is parked until the next one is due; `shutdown` unparks it.
 fn compactor_loop(shared: &Shared, sessions: &Mutex<Vec<Arc<SessionCell>>>, interval: Duration) {
     loop {
-        // Sleep in POLL steps so shutdown is honored promptly even with
-        // a long sweep interval.
-        let mut slept = Duration::ZERO;
-        while slept < interval {
+        let parked_at = Instant::now();
+        loop {
             if shared.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            let step = POLL.min(interval - slept);
-            std::thread::sleep(step);
-            slept += step;
+            let left = interval.saturating_sub(parked_at.elapsed());
+            if left.is_zero() {
+                break;
+            }
+            std::thread::park_timeout(left);
         }
         let cells: Vec<Arc<SessionCell>> = lock(sessions).clone();
         for cell in cells {
@@ -2266,6 +2275,28 @@ mod tests {
         assert_eq!(handle.id(), 0);
         drop(server);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Shutdown drops the mail no worker will drain: the reply channel
+    /// of a query left in a mailbox, never enqueued, disconnects at
+    /// once instead of keeping its caller waiting.
+    #[test]
+    fn shutdown_releases_mail_no_worker_will_drain() {
+        let mut server = DebugServer::start(one_worker());
+        let session = spec_of(blinker_system("stranded", 0.0005, 500_000))
+            .build()
+            .expect("builds");
+        let handle = server.add_session(session);
+        let (tx, rx) = mpsc::channel();
+        let query = Query::Snapshot {
+            include_trace: false,
+        };
+        lock(&handle.cell.mailbox).push_back(Mail::Query(query, tx));
+        server.shutdown();
+        assert!(matches!(
+            rx.recv_timeout(Duration::from_secs(3)),
+            Err(mpsc::RecvTimeoutError::Disconnected)
+        ));
     }
 
     /// A session that hit a breakpoint before the server took it starts

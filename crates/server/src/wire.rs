@@ -25,6 +25,17 @@
 //! encoded by one function, `encode_server_frame`, which also swaps an
 //! oversized frame for one that fits.
 //!
+//! No server-side wait runs on a clock. The accept thread blocks in
+//! `accept`, and [`WireServer::shutdown`] wakes it with one loopback
+//! connect, so a connection is served as soon as it is accepted. A
+//! reader blocks in `read`, every write blocks until it is written,
+//! and the streamer sleeps on its connection's wake flag, which every
+//! queue push, sender drop, attach and close raises. A connection ends
+//! by shutting its socket down — on client EOF, a refused handshake, a
+//! protocol error, a failed write or server shutdown — which ends the
+//! reader's read and any write in progress, so a client that stopped
+//! reading delays only its own connection.
+//!
 //! An optional shared-secret token ([`crate::ServerConfig::auth_token`])
 //! rides in the `Hello` frame and is compared in constant time.
 //!
@@ -55,17 +66,25 @@ use gmdf_analyze::AnalysisReport;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Socket poll granularity: read/write timeouts and shutdown-flag
-/// re-check period. A backstop, not the event latency — frames flow as
-/// fast as the socket carries them, and queue pushes wake the streamer
-/// immediately through its [`Notify`] flag.
+/// Client side only: [`WireClient`]'s read timeout, so its calls notice
+/// their deadlines, and [`WireClient::wait_idle`]'s snapshot period.
+/// The server never polls.
 const POLL: Duration = Duration::from_millis(20);
+
+/// How long the accept loop backs off after an accept error (say, the
+/// process is out of file descriptors) rather than spinning — the one
+/// timed sleep on the server side.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
+
+/// Bound on the loopback connect that wakes the accept loop on
+/// shutdown.
+const WAKE_WAIT: Duration = Duration::from_secs(1);
 
 /// How long the server waits on a session's answer to a query before
 /// reporting an error frame to the client.
@@ -149,8 +168,13 @@ pub struct WireServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Conns>,
 }
+
+/// The server's connections: each one's thread, and a weak handle on
+/// its socket for shutdown to hang up. Weak, so a connection's socket
+/// closes the moment its own threads let go of it.
+type Conns = Mutex<Vec<(JoinHandle<()>, Weak<TcpStream>)>>;
 
 impl WireServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
@@ -161,10 +185,9 @@ impl WireServer {
     /// Propagates socket bind errors.
     pub fn start(server: Arc<DebugServer>, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Arc<Conns> = Arc::default();
         let accept = {
             let shutdown = Arc::clone(&shutdown);
             let conns = Arc::clone(&conns);
@@ -188,13 +211,31 @@ impl WireServer {
 
     /// Stops accepting, disconnects clients, joins every thread.
     /// Idempotent; also runs on drop.
+    ///
+    /// One loopback connect wakes the accept loop (an unspecified bind
+    /// address is reached through loopback), and shutting each live
+    /// socket down ends its connection's blocking read and any write
+    /// in progress.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept.take() {
+            let mut wake = self.local_addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect_timeout(&wake, WAKE_WAIT);
             let _ = handle.join();
         }
-        let conns: Vec<JoinHandle<()>> = lock(&self.conns).drain(..).collect();
-        for handle in conns {
+        let conns: Vec<_> = lock(&self.conns).drain(..).collect();
+        for (_, socket) in &conns {
+            if let Some(socket) = socket.upgrade() {
+                let _ = socket.shutdown(Shutdown::Both);
+            }
+        }
+        for (handle, _) in conns {
             let _ = handle.join();
         }
     }
@@ -206,48 +247,51 @@ impl Drop for WireServer {
     }
 }
 
+/// Accepts connections until shutdown: blocks in `accept`, and checks
+/// the shutdown flag after every result, so the shutdown's loopback
+/// connect ends it.
 fn accept_loop(
     listener: &TcpListener,
     server: &Arc<DebugServer>,
-    shutdown: &Arc<AtomicBool>,
-    conns: &Mutex<Vec<JoinHandle<()>>>,
+    shutdown: &AtomicBool,
+    conns: &Conns,
 ) {
-    while !shutdown.load(Ordering::SeqCst) {
+    loop {
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
         // Reap finished connections so a long-lived server with churning
         // clients does not accumulate handles (finished threads are
         // safe to detach-drop).
-        lock(conns).retain(|handle| !handle.is_finished());
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let server = Arc::clone(server);
-                let shutdown_flag = Arc::clone(shutdown);
-                // Held aside so a failed spawn can still tell the peer
-                // why (the spawn closure consumes the original).
-                let reporter = stream.try_clone();
-                let spawned = std::thread::Builder::new()
-                    .name("gmdf-wire-conn".to_owned())
-                    .spawn(move || serve_connection(stream, &server, &shutdown_flag));
-                match spawned {
-                    Ok(handle) => lock(conns).push(handle),
-                    // Thread exhaustion must not take down the accept
-                    // loop (and with it every future client): tell this
-                    // peer why and drop only its connection.
-                    Err(e) => {
-                        if let Ok(mut reporter) = reporter {
-                            let _ = reporter.set_write_timeout(Some(POLL));
-                            let refused = ServerFrame::Error {
-                                seq: None,
-                                message: format!("server cannot serve connection: {e}"),
-                            };
-                            let mut bytes = Vec::new();
-                            encode_server_frame(&refused, &mut String::new(), &mut bytes);
-                            let _ = reporter.write_all(&bytes);
-                        }
-                    }
-                }
+        lock(conns).retain(|(handle, _)| !handle.is_finished());
+        let stream = match accepted {
+            Ok((stream, _peer)) => Arc::new(stream),
+            Err(_) => {
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
             }
-            // Nothing to accept (or a transient accept error): poll again.
-            Err(_) => std::thread::sleep(POLL),
+        };
+        let socket = Arc::downgrade(&stream);
+        let server = Arc::clone(server);
+        let conn = Arc::clone(&stream);
+        let spawned = std::thread::Builder::new()
+            .name("gmdf-wire-conn".to_owned())
+            .spawn(move || serve_connection(conn, &server));
+        match spawned {
+            Ok(handle) => lock(conns).push((handle, socket)),
+            // Thread exhaustion must not take down the accept loop (and
+            // with it every future client): tell this peer why and drop
+            // only its connection.
+            Err(e) => {
+                let refused = ServerFrame::Error {
+                    seq: None,
+                    message: format!("server cannot serve connection: {e}"),
+                };
+                let mut bytes = Vec::new();
+                encode_server_frame(&refused, &mut String::new(), &mut bytes);
+                let _ = (&*stream).write_all(&bytes);
+            }
         }
     }
 }
@@ -255,7 +299,7 @@ fn accept_loop(
 /// Outcome of one blocking frame read on the server side.
 enum ReadOutcome {
     Frame(ClientFrame),
-    /// Clean close, peer error, or server shutdown — stop serving.
+    /// Clean close, read error, or the socket shut down — stop serving.
     Stop,
     /// The peer sent bytes that do not decode; report and stop.
     Malformed(String),
@@ -264,10 +308,10 @@ enum ReadOutcome {
 /// The wire-telemetry handle one connection's reader and streamer
 /// share: `None` when metrics are disabled (every record is one branch),
 /// otherwise the global [`crate::metrics::WireMetrics`] counters plus
-/// this connection's own [`ConnMetrics`] row. Cloned into the streamer
-/// thread; the per-connection row disappears from snapshots when the
-/// last clone drops, so the rows are also the live-connection count.
-#[derive(Debug, Clone)]
+/// this connection's own [`ConnMetrics`] row. The row disappears from
+/// snapshots when both of the connection's threads are done with it, so
+/// the rows are also the live-connection count.
+#[derive(Debug)]
 struct Telemetry(Option<(Arc<MetricsRegistry>, Arc<ConnMetrics>)>);
 
 impl Telemetry {
@@ -328,14 +372,12 @@ impl Telemetry {
     }
 }
 
-/// Reads the next client frame, polling the shutdown flag at [`POLL`]
-/// granularity. The stream must have a read timeout installed. Received
-/// bytes and decoded frames are counted into `tel`.
+/// Reads the next client frame, blocking in `read` until bytes arrive.
+/// EOF, a read error and the socket's shutdown all stop the reader.
+/// Received bytes and decoded frames are counted into `tel`.
 fn next_client_frame(
     mut stream: &TcpStream,
     decoder: &mut FrameDecoder,
-    shutdown: &AtomicBool,
-    closed: &AtomicBool,
     tel: &Telemetry,
 ) -> ReadOutcome {
     let mut chunk = [0u8; 4096];
@@ -351,64 +393,60 @@ fn next_client_frame(
             Ok(None) => {}
             Err(e) => return ReadOutcome::Malformed(e),
         }
-        if shutdown.load(Ordering::SeqCst) || closed.load(Ordering::SeqCst) {
-            return ReadOutcome::Stop;
-        }
         match stream.read(&mut chunk) {
             Ok(0) => return ReadOutcome::Stop,
             Ok(n) => {
                 tel.bytes_rx(n as u64);
                 decoder.feed(&chunk[..n]);
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => return ReadOutcome::Stop,
         }
     }
 }
 
-/// How long a write keeps retrying after the connection started
-/// closing (`closed` set): long enough for a final diagnostic frame to
-/// reach a live peer, short enough that a stalled one only delays —
-/// never wedges — its own teardown.
-const FLUSH_GRACE: Duration = Duration::from_millis(500);
+/// What one connection's reader and streamer share.
+struct Conn {
+    /// The socket. The server keeps only a weak handle on it, so it
+    /// closes as soon as both threads are done with it.
+    stream: Arc<TcpStream>,
+    /// Keeps whole frames (and batches) atomic between the reader's
+    /// replies and the streamer's batches.
+    write_lock: Mutex<()>,
+    /// One receiver per attached session: the reader adds and removes
+    /// them, the streamer drains them.
+    subs: Mutex<Vec<EventReceiver>>,
+    /// The streamer's wake flag, shared by every attached queue.
+    notify: Arc<Notify>,
+    /// Set when the connection hangs up; the streamer then stops.
+    closed: AtomicBool,
+    tel: Telemetry,
+}
 
-/// Writes pre-encoded bytes carrying `frames` whole frames (a batch of
-/// one or many), retrying on write timeouts while polling the shutdown
-/// flag. Once `closed` is set the retries continue only for
-/// [`FLUSH_GRACE`], so queued diagnostics still flush to a live peer
-/// but a stalled one cannot hang the join.
-fn write_bytes(
-    mut stream: &TcpStream,
-    bytes: &[u8],
-    frames: u64,
-    shutdown: &AtomicBool,
-    closed: &AtomicBool,
-    tel: &Telemetry,
-) -> Result<(), ()> {
-    let mut off = 0;
-    let mut grace: Option<Instant> = None;
-    while off < bytes.len() {
-        if shutdown.load(Ordering::SeqCst) {
-            return Err(());
+impl Conn {
+    /// Writes pre-encoded bytes carrying `frames` whole frames (a batch
+    /// of one or many) under the write lock, and counts them once all
+    /// are written. The write blocks while the peer's window is full,
+    /// until a hang-up ends it; a failed write hangs the connection up.
+    fn write(&self, bytes: &[u8], frames: u64) -> std::io::Result<()> {
+        let _guard = lock(&self.write_lock);
+        if let Err(e) = (&*self.stream).write_all(bytes) {
+            self.hang_up();
+            return Err(e);
         }
-        if closed.load(Ordering::SeqCst) {
-            let deadline = *grace.get_or_insert_with(|| Instant::now() + FLUSH_GRACE);
-            if Instant::now() >= deadline {
-                return Err(());
-            }
-        }
-        match stream.write(&bytes[off..]) {
-            Ok(0) => return Err(()),
-            Ok(n) => {
-                tel.bytes_tx(n as u64);
-                off += n;
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(_) => return Err(()),
-        }
+        self.tel.bytes_tx(bytes.len() as u64);
+        self.tel.frames_tx(frames);
+        Ok(())
     }
-    tel.frames_tx(frames);
-    Ok(())
+
+    /// Ends the connection: marks it closed, shuts its socket down —
+    /// which ends the reader's blocking read and any write in progress —
+    /// and wakes the streamer.
+    fn hang_up(&self) {
+        self.closed.store(true, Ordering::SeqCst);
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.notify.notify();
+    }
 }
 
 /// Appends `frame` to `out` as one length-prefixed frame, rendering the
@@ -443,33 +481,35 @@ fn encode_server_frame(frame: &ServerFrame, json: &mut String, out: &mut Vec<u8>
     dropped
 }
 
-fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc<AtomicBool>) {
+/// Serves one connection on its reader thread, which owns the socket
+/// and shares it only with the connection's streamer.
+fn serve_connection(stream: Arc<TcpStream>, server: &Arc<DebugServer>) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL));
-    let _ = stream.set_write_timeout(Some(POLL));
-    let tel = Telemetry::acquire(server.metrics_registry());
-    let closed = Arc::new(AtomicBool::new(false));
+    let conn = Arc::new(Conn {
+        stream,
+        write_lock: Mutex::new(()),
+        subs: Mutex::default(),
+        notify: Arc::default(),
+        closed: AtomicBool::new(false),
+        tel: Telemetry::acquire(server.metrics_registry()),
+    });
     let mut decoder = FrameDecoder::new();
 
     // Replies and events share the socket: the reader writes replies
     // directly (no queuing latency) and ONE streamer thread drains every
-    // attached session's queue, batching event frames; a write lock
+    // attached session's queue, batching event frames; the write lock
     // keeps whole frames (and batches) atomic between the two.
-    let write_lock = Arc::new(Mutex::new(()));
     let reply = |frame: ServerFrame| {
-        let _guard = lock(&write_lock);
         let mut bytes = Vec::new();
         encode_server_frame(&frame, &mut String::new(), &mut bytes);
-        if write_bytes(&stream, &bytes, 1, shutdown, &closed, &tel).is_err() {
-            closed.store(true, Ordering::SeqCst);
-        }
+        let _ = conn.write(&bytes, 1);
     };
     // A connection-level refusal: the peer is told why, then dropped.
     let refuse = |message: String| reply(ServerFrame::Error { seq: None, message });
 
     // Handshake: the first frame must be a version-matched Hello
     // carrying the shared secret, when the server requires one.
-    match next_client_frame(&stream, &mut decoder, shutdown, &closed, &tel) {
+    match next_client_frame(&conn.stream, &mut decoder, &conn.tel) {
         ReadOutcome::Frame(ClientFrame::Hello { version, token }) => {
             if version != crate::proto::WIRE_VERSION {
                 refuse(format!(
@@ -499,43 +539,20 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
         ReadOutcome::Stop => return,
     }
 
-    // The connection's subscriptions, one receiver per attached session:
-    // the reader adds and removes them, the streamer drains them.
-    let subs: Arc<Mutex<Vec<EventReceiver>>> = Arc::default();
-    let notify = Arc::new(Notify::default());
-    let streamer = {
-        let stream_clone = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        let subs_clone = Arc::clone(&subs);
-        let shutdown_flag = Arc::clone(shutdown);
-        let closed_flag = Arc::clone(&closed);
-        let lock_clone = Arc::clone(&write_lock);
-        let notify_clone = Arc::clone(&notify);
-        let tel_clone = tel.clone();
-        let spawned = std::thread::Builder::new()
-            .name("gmdf-wire-streamer".to_owned())
-            .spawn(move || {
-                event_loop(
-                    &stream_clone,
-                    &subs_clone,
-                    &notify_clone,
-                    &shutdown_flag,
-                    &closed_flag,
-                    &lock_clone,
-                    &tel_clone,
-                );
-            });
-        match spawned {
-            Ok(handle) => handle,
-            // Degraded, not dead: without a streamer this connection
-            // cannot honor its contract, so tell the peer and tear down
-            // this one connection — never panic the accept path.
-            Err(e) => {
-                refuse(format!("server cannot stream events: {e}"));
-                return;
-            }
+    let streamer = std::thread::Builder::new()
+        .name("gmdf-wire-streamer".to_owned())
+        .spawn({
+            let conn = Arc::clone(&conn);
+            move || event_loop(&conn)
+        });
+    let streamer = match streamer {
+        Ok(handle) => handle,
+        // Degraded, not dead: without a streamer this connection cannot
+        // honor its contract, so tell the peer and tear down this one
+        // connection — never panic the accept path.
+        Err(e) => {
+            refuse(format!("server cannot stream events: {e}"));
+            return;
         }
     };
     reply(ServerFrame::HelloAck {
@@ -552,10 +569,10 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
     });
 
     loop {
-        if closed.load(Ordering::SeqCst) {
+        if conn.closed.load(Ordering::SeqCst) {
             break;
         }
-        match next_client_frame(&stream, &mut decoder, shutdown, &closed, &tel) {
+        match next_client_frame(&conn.stream, &mut decoder, &conn.tel) {
             ReadOutcome::Frame(ClientFrame::Hello { .. }) => {
                 // A connection-level violation; per the protocol
                 // contract a seq-less Error closes the connection.
@@ -598,9 +615,9 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
                     // the ack and the subscription can be missed
                     // (the streamer may interleave an event ahead of
                     // the ack; the client buffers it).
-                    let receiver = handle
-                        .subscribe_queue(capacity.map(|c| c as usize), Some(Arc::clone(&notify)));
-                    let mut list = lock(&subs);
+                    let capacity = capacity.map(|c| c as usize);
+                    let receiver = handle.subscribe_queue(capacity, Arc::clone(&conn.notify));
+                    let mut list = lock(&conn.subs);
                     match list.iter_mut().find(|s| s.session() == session) {
                         // Re-attach: the replacement subscription takes
                         // over; dropping the old receiver unsubscribes
@@ -608,11 +625,11 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
                         Some(slot) => *slot = receiver,
                         None => {
                             list.push(receiver);
-                            tel.attach_inc();
+                            conn.tel.attach_inc();
                         }
                     }
                     drop(list);
-                    notify.notify();
+                    conn.notify.notify();
                     reply(ServerFrame::Ack { seq });
                 }
                 None => reply(ServerFrame::Error {
@@ -623,10 +640,10 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
             ReadOutcome::Frame(ClientFrame::Detach { seq, session }) => {
                 // Idempotent: detaching a session that was never
                 // attached (or already detached) still acks.
-                let mut list = lock(&subs);
+                let mut list = lock(&conn.subs);
                 if let Some(pos) = list.iter().position(|s| s.session() == session) {
                     list.remove(pos);
-                    tel.attach_dec();
+                    conn.tel.attach_dec();
                 }
                 drop(list);
                 reply(ServerFrame::Ack { seq });
@@ -657,16 +674,17 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
                 }));
             }
             ReadOutcome::Malformed(e) => {
-                // Written before `closed` is set, so the diagnostic
-                // still flushes to a live peer.
+                // Written before the hang-up, so the diagnostic still
+                // reaches a live peer.
                 refuse(e);
                 break;
             }
             ReadOutcome::Stop => break,
         }
     }
-    closed.store(true, Ordering::SeqCst);
-    notify.notify();
+    // The hang-up also ends a streamer write blocked on a peer that
+    // stopped reading, and wakes an idle streamer.
+    conn.hang_up();
     let _ = streamer.join();
 }
 
@@ -691,26 +709,21 @@ fn reply_frame(seq: u64, reply: Reply) -> ServerFrame {
 /// released — the reader adds and removes subscriptions in the same
 /// list, and never waits on a socket write to do so. When a full sweep
 /// finds nothing the streamer sleeps on the connection's [`Notify`]
-/// flag, which every queue push (and every attach) raises.
+/// flag, which every queue push and sender drop raises, and the reader
+/// raises on attach and on hang-up. A failed write hangs the connection
+/// up, which ends the reader's blocking read.
 ///
 /// Buffer reuse is the point: the v3 streamer allocated a fresh
 /// `String` (JSON) and a fresh `Vec` (length-prefixed bytes) per event
 /// frame; here both scratch buffers and the batch buffer are warm after
 /// the first frame, so steady-state encoding allocates only what the
 /// serializer itself needs.
-fn event_loop(
-    stream: &TcpStream,
-    subs: &Mutex<Vec<EventReceiver>>,
-    notify: &Notify,
-    shutdown: &AtomicBool,
-    closed: &AtomicBool,
-    write_lock: &Mutex<()>,
-    tel: &Telemetry,
-) {
+fn event_loop(conn: &Conn) {
+    let tel = &conn.tel;
     let mut json = String::new();
     let mut batch: Vec<u8> = Vec::new();
     loop {
-        if shutdown.load(Ordering::SeqCst) || closed.load(Ordering::SeqCst) {
+        if conn.closed.load(Ordering::SeqCst) {
             return;
         }
         // Sweep: round-robin over the subscriptions, one event each per
@@ -718,7 +731,7 @@ fn event_loop(
         batch.clear();
         let mut frames = 0u64;
         let mut dead: Vec<SessionId> = Vec::new();
-        let mut list = lock(subs);
+        let mut list = lock(&conn.subs);
         'sweep: loop {
             let mut progressed = false;
             for sub in list.iter() {
@@ -759,16 +772,10 @@ fn event_loop(
             });
         }
         drop(list);
-        if frames > 0 {
-            let guard = lock(write_lock);
-            let ok = write_bytes(stream, &batch, frames, shutdown, closed, tel).is_ok();
-            drop(guard);
-            if !ok {
-                closed.store(true, Ordering::SeqCst);
-                return;
-            }
-        } else {
-            notify.wait_timeout(POLL);
+        if frames == 0 {
+            conn.notify.wait(None);
+        } else if conn.write(&batch, frames).is_err() {
+            return;
         }
     }
 }

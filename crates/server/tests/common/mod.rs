@@ -1,15 +1,20 @@
-//! Shared builders for the server test suites: small COMDES systems and
-//! fully wired debug sessions.
+//! Shared builders for the server test suites: small COMDES systems,
+//! fully wired debug sessions and their specs, and self-removing temp
+//! directories for durable sessions.
 // Each test binary compiles this module separately and uses a subset.
 #![allow(dead_code)]
 
-use gmdf::{ChannelMode, DebugSession, Workflow};
+use gmdf::{ChannelMode, DebugSession, SessionSpec, Workflow};
 use gmdf_codegen::{CompileOptions, InstrumentOptions};
 use gmdf_comdes::{
     ActorBuilder, Expr, FsmBuilder, NetworkBuilder, NodeSpec, Port, System, Timing,
     VAR_TIME_IN_STATE,
 };
 use gmdf_target::SimConfig;
+use std::ffi::OsStr;
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A two-state blinker dwelling `dwell_s` seconds per state.
 pub fn blinker_system(name: &str, dwell_s: f64, period_ns: u64) -> System {
@@ -94,4 +99,71 @@ pub fn active_session(system: System) -> DebugSession {
             SimConfig::default(),
         )
         .expect("session boots")
+}
+
+/// The spec of `system` as an active-channel session with
+/// behavior-level instrumentation — what [`active_session`] builds, in
+/// the form a durable session is registered from.
+pub fn spec_of(system: System) -> SessionSpec {
+    Workflow::from_system(system)
+        .expect("valid system")
+        .default_abstraction()
+        .default_commands()
+        .into_spec(
+            ChannelMode::Active,
+            CompileOptions {
+                instrument: InstrumentOptions::behavior(),
+                faults: vec![],
+            },
+            SimConfig::default(),
+        )
+}
+
+/// A directory path under the system temp dir, unique to this suite,
+/// `tag`, process and call. The directory itself is created by whoever
+/// writes to it. Dropping the guard removes it, also when the test
+/// panics, so a failing run leaves nothing behind.
+pub struct TempRoot(PathBuf);
+
+/// A fresh [`TempRoot`] named `gmdf-<suite>-<tag>-<pid>-<n>-<nanos>`.
+pub fn tmp_root(tag: &str) -> TempRoot {
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .expect("clock")
+        .as_nanos();
+    TempRoot(std::env::temp_dir().join(format!(
+        "gmdf-{}-{tag}-{}-{n}-{nanos}",
+        env!("CARGO_CRATE_NAME"),
+        std::process::id()
+    )))
+}
+
+impl Drop for TempRoot {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl Deref for TempRoot {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempRoot {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+/// Lets `&TempRoot` convert into a `PathBuf` (as in
+/// `PersistConfig::new(&root)`), as `&PathBuf` does.
+impl AsRef<OsStr> for TempRoot {
+    fn as_ref(&self) -> &OsStr {
+        self.0.as_os_str()
+    }
 }

@@ -23,51 +23,18 @@
 
 mod common;
 
-use common::{active_session, blinker_system, ring_system};
-use gmdf::{ChannelMode, SessionSpec, Workflow};
-use gmdf_codegen::{CompileOptions, InstrumentOptions};
+use common::{active_session, blinker_system, ring_system, spec_of, tmp_root};
 use gmdf_engine::TraceEntry;
 use gmdf_gdm::{CommandMatcher, EventKind};
 use gmdf_server::{
     DebugServer, EngineEvent, HealthState, PersistConfig, ServerConfig, SessionHandle, WireClient,
     WireServer,
 };
-use gmdf_target::SimConfig;
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(60);
-
-fn tmp_root(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .expect("clock")
-        .as_nanos();
-    std::env::temp_dir().join(format!(
-        "gmdf-metrics-{tag}-{}-{n}-{nanos}",
-        std::process::id()
-    ))
-}
-
-fn spec_of(system: gmdf_comdes::System) -> SessionSpec {
-    Workflow::from_system(system)
-        .expect("valid system")
-        .default_abstraction()
-        .default_commands()
-        .into_spec(
-            ChannelMode::Active,
-            CompileOptions {
-                instrument: InstrumentOptions::behavior(),
-                faults: vec![],
-            },
-            SimConfig::default(),
-        )
-}
 
 /// Pages the whole trace out through the replay API — the independent
 /// record the counters are checked against.
@@ -314,7 +281,6 @@ fn quarantined_sessions_surface_over_the_wire() {
     drop(client);
     drop(wire);
     drop(server);
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// Cumulative subscriber drops reach the counter-only session snapshot

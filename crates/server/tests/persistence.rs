@@ -12,43 +12,18 @@
 
 mod common;
 
-use common::{blinker_system, ring_system};
-use gmdf::{ChannelMode, SessionSpec, Workflow};
-use gmdf_codegen::{CompileOptions, InstrumentOptions};
+use common::{blinker_system, ring_system, spec_of, tmp_root};
 use gmdf_engine::{Codec, Retention, SegmentStore, TraceEntry};
 use gmdf_gdm::{CommandMatcher, EventKind};
 use gmdf_server::{
     DebugServer, EngineEvent, EventReceiver, PersistConfig, ServerConfig, ServerError,
     SessionHandle, WireClient, WireServer,
 };
-use gmdf_target::SimConfig;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(120);
-
-fn tmp_root(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("gmdf-persist-{tag}-{}-{n}", std::process::id()))
-}
-
-fn spec_of(system: gmdf_comdes::System) -> SessionSpec {
-    Workflow::from_system(system)
-        .expect("valid system")
-        .default_abstraction()
-        .default_commands()
-        .into_spec(
-            ChannelMode::Active,
-            CompileOptions {
-                instrument: InstrumentOptions::behavior(),
-                faults: vec![],
-            },
-            SimConfig::default(),
-        )
-}
 
 fn server_config() -> ServerConfig {
     ServerConfig {
@@ -249,7 +224,6 @@ fn restart_mid_run_is_unobservable_in_the_record() {
     // The delta stream entries are the trace itself.
     assert_eq!(pre_stream.len(), snapshot.trace_len);
     drop(server);
-    std::fs::remove_dir_all(&root).ok();
 }
 
 proptest! {
@@ -312,7 +286,6 @@ proptest! {
             let disk_win: Vec<TraceEntry> = disk_trace.window(a, b).collect();
             prop_assert_eq!(mem_win, disk_win, "window({}, {})", a, b);
         }
-        std::fs::remove_dir_all(&root).ok();
     }
 }
 
@@ -407,7 +380,6 @@ proptest! {
                 expected_more_stream.clone()
             );
             drop(server);
-            std::fs::remove_dir_all(root).ok();
         }
     }
 }
@@ -494,7 +466,6 @@ fn restart_skips_an_image_ahead_of_a_lost_trace_tail() {
     handle.wait_idle(WAIT).expect("lost tail regenerated");
     assert_eq!(handle.snapshot(WAIT).expect("snapshot"), expected);
     drop(server);
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// A restart re-derives the entries its store already holds, and a
@@ -551,7 +522,6 @@ fn restart_does_not_reannounce_a_history_hit() {
             assert!(!history, "restart {restart} re-announced {event:?}");
         }
     }
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// `FetchRange` and `ReplayFrom` page history correctly — in-process
@@ -677,7 +647,6 @@ fn registry_ids_and_misuse() {
         Err(ServerError::Persist(_)) => {}
         other => panic!("expected Persist error, got {other:?}"),
     }
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// A client-triggerable command failure (a stimulus with an unknown
@@ -724,7 +693,6 @@ fn rejected_stimulus_does_not_brick_the_registry() {
     handle.run_for(1_000_000).expect("send");
     handle.wait_idle(WAIT).expect("restored session still runs");
     drop(server);
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// One damaged session directory quarantines that session only: the
@@ -766,7 +734,6 @@ fn damaged_session_is_quarantined_not_fatal() {
     let fresh = server.add_durable_session(&spec).expect("fresh");
     assert!(fresh.id() > bad, "quarantined ids are never reused");
     drop(server);
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// A torn journal tail (a command cut mid-append by a kill) is dropped
@@ -804,7 +771,6 @@ fn torn_journal_tail_is_recovered() {
     let snapshot = handle.stats(WAIT).expect("stats");
     assert_eq!(snapshot.remaining_ns, 0);
     drop(server);
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// Retention soak: a durable session driven far past its disk budget
@@ -950,5 +916,4 @@ fn retention_budget_bounds_disk_while_replay_spans_tiers() {
         "restart must not change the retained history"
     );
     drop(server);
-    std::fs::remove_dir_all(&root).ok();
 }

@@ -12,9 +12,7 @@
 
 mod common;
 
-use common::ring_system;
-use gmdf::SessionSpec;
-use gmdf_codegen::{CompileOptions, InstrumentOptions};
+use common::{ring_system, spec_of, tmp_root};
 use gmdf_comdes::SignalValue;
 use gmdf_engine::{Codec, ExecutionTrace, Retention};
 use gmdf_gdm::{CommandMatcher, EventKind};
@@ -22,7 +20,6 @@ use gmdf_server::{
     DebugServer, PersistConfig, ServerConfig, SessionHandle, WireClient, WireServer,
 };
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -32,27 +29,6 @@ const WAIT: Duration = Duration::from_secs(120);
 /// run writes several images, so seeks genuinely restore rather than
 /// replay from zero.
 const INTERVAL: u64 = 32;
-
-fn tmp_root(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("gmdf-tt-{tag}-{}-{n}", std::process::id()))
-}
-
-fn spec_of(system: gmdf_comdes::System) -> SessionSpec {
-    gmdf::Workflow::from_system(system)
-        .expect("valid system")
-        .default_abstraction()
-        .default_commands()
-        .into_spec(
-            gmdf::ChannelMode::Active,
-            CompileOptions {
-                instrument: InstrumentOptions::behavior(),
-                faults: vec![],
-            },
-            gmdf_target::SimConfig::default(),
-        )
-}
 
 fn server_config() -> ServerConfig {
     ServerConfig {
@@ -167,7 +143,6 @@ fn seek_to_now_matches_the_live_snapshot_byte_for_byte() {
         "seek trace must be byte-identical to the live snapshot"
     );
     drop(server);
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// The acceptance property: seeks served from checkpoints are
@@ -226,7 +201,6 @@ fn checkpointed_seek_is_byte_identical_to_replay_from_zero() {
         );
     }
     drop(server);
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// `StepBack { entries: k }` rewinds to the instant of the entry `k`
@@ -267,7 +241,6 @@ fn step_back_lands_on_the_pivot_entrys_instant() {
     let zero = handle.step_back(len as u64, false, WAIT).expect("rewind");
     assert_eq!(zero.target_ns, 0);
     drop(server);
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// `ReplayWindow` regenerates exactly what `FetchRange` pages out of
@@ -321,7 +294,6 @@ fn replay_window_matches_fetch_range_in_process_and_over_the_wire() {
     drop(client);
     drop(wire);
     drop(server);
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// The crash story: a checkpoint file cut at an **arbitrary byte** (a
@@ -380,7 +352,6 @@ fn torn_checkpoint_falls_back_to_an_older_image() {
         );
         assert!(!stale.exists(), "stale .tmp spool must be swept on open");
     }
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// The retention clamp: under disk-budget eviction pressure the replay
@@ -462,7 +433,6 @@ fn eviction_never_outruns_the_oldest_checkpoint() {
         .iter()
         .all(|e| e.event.time_ns <= stats.now_ns / 8));
     drop(server);
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// Checkpoint activity is measured: writes, payload bytes and restores
@@ -519,5 +489,4 @@ fn checkpoint_metrics_flow_through_registry_and_prometheus() {
         assert!(text.contains(needle), "{needle} missing from exposition");
     }
     drop(server);
-    std::fs::remove_dir_all(&root).ok();
 }

@@ -23,7 +23,10 @@
 //!   scheduler pump finishes on time and the recorded trace is
 //!   unaffected;
 //! * **auth** — a server with a shared-secret token refuses absent and
-//!   wrong tokens with one generic message and accepts the right one.
+//!   wrong tokens with one generic message and accepts the right one;
+//! * **connect and teardown** — a connection is served as soon as it is
+//!   accepted, a refused handshake hangs up at once, and a server bound
+//!   to the unspecified address shuts down promptly.
 
 mod common;
 
@@ -621,6 +624,79 @@ fn version_mismatch_is_rejected() {
         panic!("expected an error frame, got {reply:?}");
     };
     assert!(message.contains("version"), "unexpected message: {message}");
+}
+
+/// A connection is served as soon as it is accepted: back-to-back
+/// connects each finish their handshake without waiting on a clock.
+#[test]
+fn connects_are_served_without_a_poll_delay() {
+    let (_server, wire) = wired_server(ServerConfig::default());
+    let mut took: Vec<Duration> = (0..50)
+        .map(|_| {
+            let t0 = Instant::now();
+            let client = WireClient::connect(wire.local_addr()).expect("handshake");
+            let elapsed = t0.elapsed();
+            drop(client);
+            elapsed
+        })
+        .collect();
+    took.sort();
+    let median = took[took.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median connect took {median:?}"
+    );
+}
+
+/// A refused handshake ends in a hang-up: after the `Error` frame the
+/// peer reads EOF at once, because nothing outlives the connection's
+/// own threads to hold its socket open.
+#[test]
+fn refused_handshakes_hang_up() {
+    let (_server, wire) = wired_server(ServerConfig::default());
+    let mut raw = std::net::TcpStream::connect(wire.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("read timeout");
+    raw.write_all(
+        &encode_frame(&ClientFrame::Hello {
+            version: WIRE_VERSION + 1,
+            token: None,
+        })
+        .expect("encodes"),
+    )
+    .expect("send hello");
+    let mut bytes = Vec::new();
+    raw.read_to_end(&mut bytes)
+        .expect("the server hangs up within 2 s");
+    let mut decoder = FrameDecoder::new();
+    decoder.feed(&bytes);
+    let payload = decoder
+        .next_payload()
+        .expect("frame")
+        .expect("an error frame before EOF");
+    let reply = decode_payload::<ServerFrame>(&payload).expect("decodes");
+    assert!(
+        matches!(reply, ServerFrame::Error { seq: None, .. }),
+        "expected a connection-level error, got {reply:?}"
+    );
+    assert!(decoder.next_payload().expect("frame").is_none());
+}
+
+/// Shutdown wakes the accept loop through loopback also when the
+/// listener is bound to the unspecified address.
+#[test]
+fn a_server_bound_to_an_unspecified_address_shuts_down() {
+    let server = Arc::new(DebugServer::start(ServerConfig::default()));
+    let wire = WireServer::start(Arc::clone(&server), "0.0.0.0:0").expect("bind");
+    let (done, dropped) = std::sync::mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        drop(wire);
+        let _ = done.send(());
+    });
+    dropped
+        .recv_timeout(Duration::from_secs(1))
+        .expect("the wire server shuts down within 1 s");
+    dropper.join().expect("the drop does not panic");
 }
 
 /// v4 commands are session-addressed, so no attach is required before a
