@@ -181,6 +181,7 @@ fn check_soundness(system: &System, config: SimConfig, instrument: InstrumentOpt
     let report = analyze(system, &image, &config).expect("analysis settles");
 
     let mut sim = Simulator::new(image, config).expect("boots");
+    sim.record_events();
     for k in 0..7u64 {
         sim.schedule_signal(k * 3_000_000, "u", SignalValue::Real((k % 3) as f64))
             .ok();
@@ -209,6 +210,10 @@ fn check_soundness(system: &System, config: SimConfig, instrument: InstrumentOpt
             _ => {}
         }
     }
+    assert!(
+        !max_response.is_empty(),
+        "the run must record completions before a clean run can vouch for anything"
+    );
 
     for node in &report.nodes {
         for task in &node.tasks {

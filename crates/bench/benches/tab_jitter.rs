@@ -99,6 +99,7 @@ fn jitter_ns(system: &System, latch: bool) -> i64 {
         },
     )
     .expect("boots");
+    sim.record_events();
     sim.schedule_signal(0, "hx", SignalValue::Real(1.0))
         .expect("label");
     sim.run_until(60_000_000).expect("runs");
@@ -111,7 +112,7 @@ fn jitter_ns(system: &System, latch: bool) -> i64 {
                 actor,
                 label,
                 ..
-            } if &**actor == "Heavy" && label == "hy" => Some(*time_ns),
+            } if &**actor == "Heavy" && &**label == "hy" => Some(*time_ns),
             _ => None,
         })
         .collect();

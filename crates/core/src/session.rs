@@ -372,7 +372,9 @@ impl DebugSession {
         self.engine.set_trace_retain_floor(floor);
     }
 
-    /// The target simulator.
+    /// The target simulator. A session's record of the run is its
+    /// execution trace, so the simulator keeps no event log unless a
+    /// caller turns it on with [`Simulator::record_events`].
     pub fn simulator(&self) -> &Simulator {
         &self.sim
     }

@@ -117,4 +117,23 @@ mod tests {
         assert_eq!(a.engine().trace().to_json(), b.engine().trace().to_json());
         assert!(!a.engine().trace().is_empty());
     }
+
+    /// A session's record of the run is its execution trace: the
+    /// simulator it builds keeps no event log, neither while it runs
+    /// nor after a checkpoint restore.
+    #[test]
+    fn built_sessions_keep_no_simulator_event_log() {
+        let spec = spec();
+        let mut session = spec.build().unwrap();
+        session.run_for(10_000_000).unwrap();
+        assert!(!session.engine().trace().is_empty());
+        assert!(session.simulator().events().is_empty());
+
+        let checkpoint = session.save_state();
+        let mut restored = spec.build().unwrap();
+        restored.restore_state(&checkpoint).unwrap();
+        restored.run_for(10_000_000).unwrap();
+        assert!(restored.now_ns() > checkpoint.t_ns());
+        assert!(restored.simulator().events().is_empty());
+    }
 }

@@ -2338,6 +2338,49 @@ mod tests {
         assert_eq!(hits, vec![(hit.seq, hit.event.time_ns)]);
     }
 
+    /// A hosted session's record of its run is its trace store: the
+    /// simulator under it keeps no event log while it is pumped, nor
+    /// after a restart rebuilt it from time zero (no checkpoint images)
+    /// and the pump re-ran the whole journaled budget in catch-up.
+    #[test]
+    fn hosted_sessions_keep_no_simulator_event_log() {
+        let spec = spec_of(ring_system("no-sim-log", 3, 0.0008, 500_000));
+        let root = std::env::temp_dir().join(format!("gmdf-no-sim-log-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let persist = || PersistConfig::new(&root).with_checkpoint_interval(0);
+        let sim_log_len =
+            |handle: &SessionHandle| lock(&handle.cell.inner).session.simulator().events().len();
+        let (id, before) = {
+            let server = DebugServer::start_persistent(one_worker(), persist())
+                .expect("persistent server boots");
+            let handle = server.add_durable_session(&spec).expect("durable session");
+            handle.run_for(30_000_000).expect("send");
+            handle.wait_idle(WAIT).expect("idle");
+            let before = handle.stats(WAIT).expect("stats");
+            assert!(before.trace_len > 0, "the run records a trace");
+            assert_eq!(sim_log_len(&handle), 0, "a pumped session logs nothing");
+            (handle.id(), before)
+        };
+        let checkpoints = persist::session_dir(&root, id).join("checkpoints");
+        let images = std::fs::read_dir(&checkpoints)
+            .expect("checkpoint dir")
+            .count();
+        assert_eq!(images, 0, "the restart must replay from time zero");
+
+        let server = DebugServer::start_persistent(one_worker(), persist()).expect("restart");
+        let handle = server.handle(id).expect("restored handle");
+        handle.wait_idle(WAIT).expect("idle");
+        let after = handle.stats(WAIT).expect("stats");
+        assert_eq!(
+            (after.now_ns, after.trace_len),
+            (before.now_ns, before.trace_len),
+            "catch-up re-ran the whole budget"
+        );
+        assert_eq!(sim_log_len(&handle), 0, "a restored session logs nothing");
+        drop(server);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     /// A seek rebuilds from the session's in-memory spec and journal
     /// records; only the checkpoint image comes from disk. With its
     /// `spec.json` overwritten and its `journal.log` emptied, a session

@@ -61,6 +61,33 @@ fn json_of<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string(value).expect("serializes")
 }
 
+/// Drains an in-process subscriber up to and including the first event
+/// `last` accepts: the stream's known last event. A stream that does
+/// not deliver it within `WAIT` fails the test.
+fn drain_local_until(
+    sub: &gmdf_server::EventReceiver,
+    last: impl Fn(&EngineEvent) -> bool,
+) -> Vec<EngineEvent> {
+    let deadline = Instant::now() + WAIT;
+    let mut events = Vec::new();
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match sub.recv_timeout(left) {
+            Ok(event) => {
+                let done = last(&event);
+                events.push(event);
+                if done {
+                    return events;
+                }
+            }
+            Err(e) => panic!(
+                "stream ended after {} events without its last one: {e}",
+                events.len()
+            ),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Codec properties
 // ---------------------------------------------------------------------------
@@ -836,14 +863,17 @@ fn wire_stream_is_byte_identical_to_in_process_broadcast() {
     client.resume(handle.id()).expect("resume");
     client.wait_idle(handle.id(), WAIT).expect("drained");
 
-    // In-process ground truth, from this run's own broadcast. Drain
-    // until a full second of silence: the final deltas are published
-    // moments after the snapshot that ended wait_idle, and a loaded
-    // machine may deschedule the worker mid-turn.
-    let mut local_events: Vec<EngineEvent> = Vec::new();
-    while let Ok(event) = local.recv_timeout(Duration::from_secs(1)) {
-        local_events.push(event);
-    }
+    // In-process ground truth, from this run's own broadcast. The
+    // resume drains the paused queue into the trace without a run, so
+    // no `Idle` follows: the stream ends with the delta that reaches
+    // the trace length of a snapshot answered after the drain (the
+    // delta is published moments after the snapshot that ended
+    // wait_idle, in the same turn).
+    let final_len = handle.stats(WAIT).expect("local stats").trace_len as u64;
+    let local_events = drain_local_until(&local, |event| {
+        matches!(event, EngineEvent::TraceDelta { entries, .. }
+            if entries.last().is_some_and(|e| e.seq + 1 == final_len))
+    });
     assert!(
         local_events
             .iter()
@@ -1068,13 +1098,27 @@ fn late_join_stream_is_gapless_from_the_subscription_point() {
     let mut client = WireClient::connect(wire.local_addr()).expect("handshake");
     client.attach(handle.id()).expect("attach");
     client.wait_idle(handle.id(), WAIT).expect("idle");
+    // The attach can land after the run's last turn, and the stream
+    // then carries nothing. One more run after the attach always
+    // streams entries, and its `Idle` is the stream's last event.
+    client.run_for(handle.id(), HORIZON_NS).expect("run");
+    client.wait_idle(handle.id(), WAIT).expect("idle");
     let snap = client.snapshot(handle.id(), false, WAIT).expect("snapshot");
     let mut seqs: Vec<u64> = Vec::new();
-    while let Ok(event) = client.next_event(Duration::from_secs(1)) {
-        if let EngineEvent::TraceDelta { entries, .. } = event {
-            seqs.extend(entries.iter().map(|e| e.seq));
+    loop {
+        match client.next_event(WAIT) {
+            Ok(EngineEvent::TraceDelta { entries, .. }) => {
+                seqs.extend(entries.iter().map(|e| e.seq));
+            }
+            Ok(EngineEvent::Idle { now_ns, .. }) if now_ns == snap.now_ns => break,
+            Ok(_) => {}
+            Err(e) => panic!(
+                "stream ended after {} entries without its final Idle: {e}",
+                seqs.len()
+            ),
         }
     }
+    assert!(!seqs.is_empty(), "the run after the attach streams entries");
     if let (Some(&first), Some(&last)) = (seqs.first(), seqs.last()) {
         let expected: Vec<u64> = (first..=last).collect();
         assert_eq!(seqs, expected, "late-join stream has gaps or reordering");
@@ -1136,14 +1180,11 @@ fn duplicate_hello_closes_the_connection() {
 // Multiplexing: many sessions per socket
 // ---------------------------------------------------------------------------
 
-/// Drain an in-process subscriber until a full second of silence (the
-/// final deltas land moments after the snapshot that ended wait_idle).
+/// Drains an in-process subscriber of a run that ended by budget, up to
+/// and including the session's `Idle`: the last event such a run
+/// publishes.
 fn drain_local(sub: &gmdf_server::EventReceiver) -> Vec<EngineEvent> {
-    let mut events = Vec::new();
-    while let Ok(event) = sub.recv_timeout(Duration::from_secs(1)) {
-        events.push(event);
-    }
-    events
+    drain_local_until(sub, |event| matches!(event, EngineEvent::Idle { .. }))
 }
 
 /// One socket, two sessions: `attach_many` multiplexes both streams

@@ -8,11 +8,16 @@ use std::sync::Arc;
 /// traffic travels separately, over the UART byte stream or the JTAG
 /// watch hits.
 ///
-/// Node and actor names are interned `Arc<str>`s shared with the
-/// simulator's boot-time name table: logging an event costs a reference
-/// count bump, not a heap-allocated `String` clone per release /
-/// completion / publication. `Arc<str>` formats (`Debug` and `Display`)
-/// exactly like `String`, so event-log comparisons are unaffected.
+/// A simulator builds these only after
+/// [`Simulator::record_events`](crate::Simulator::record_events) turned
+/// its log on; with the log off (the default) no event is built at all.
+///
+/// Node, actor and publication-label names are interned `Arc<str>`s
+/// shared with the simulator's boot-time name table: logging a release,
+/// completion or publication costs reference-count bumps, not a
+/// heap-allocated `String` per name. `Arc<str>` formats (`Debug` and
+/// `Display`) exactly like `String`, so event-log comparisons are
+/// unaffected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimEvent {
     /// An environment stimulus was applied to the signal boards.
@@ -67,7 +72,7 @@ pub enum SimEvent {
         /// Producing actor.
         actor: Arc<str>,
         /// Signal label.
-        label: String,
+        label: Arc<str>,
         /// Published value.
         value: SignalValue,
     },

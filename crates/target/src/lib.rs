@@ -24,7 +24,8 @@
 //!   reports [`WatchEvent`]s, without adding a single target cycle.
 //!
 //! Everything is deterministic: the same image and [`SimConfig`] produce
-//! the same [`SimEvent`] log, byte stream and watch hits on every run —
+//! the same byte stream, watch hits and (for a caller that turned it on
+//! with [`Simulator::record_events`]) [`SimEvent`] log on every run —
 //! the property replay-based debugging depends on.
 
 #![warn(missing_docs)]

@@ -42,7 +42,17 @@
 //! execution ([`crate::memo`]): a release whose VM-visible footprint
 //! matches a previous activation replays the cached effect instead of
 //! re-running the VM. Both knobs are bit-for-bit exact — they never
-//! change the event log, the UART stream, or any data cell.
+//! change the UART stream, any data cell, or the event log of a
+//! simulator that records one.
+//!
+//! ## The event log
+//!
+//! A simulator keeps no [`SimEvent`] log until its caller turns one on
+//! with [`Simulator::record_events`]. Nothing in the kernel reads the
+//! log, and it grows by several events per task activation, so a debug
+//! session, whose record of the run is its execution trace, never turns
+//! it on. Recording changes nothing else: the UART stream and every data
+//! cell are the same with the log on or off.
 
 use crate::calendar::{Calendar, DueSet};
 use crate::config::{DispatchMode, SimConfig};
@@ -187,12 +197,14 @@ struct NodeRt {
     last_proj: Option<(usize, u64, u64)>,
 }
 
-/// One node's interned names: the node itself plus one entry per task,
-/// shared by reference with every [`SimEvent`] that mentions them.
+/// One node's interned names: the node itself, one entry per task and
+/// one per publication of each task (`labels[ti][pi]`), shared by
+/// reference with every [`SimEvent`] that mentions them.
 #[derive(Debug, Clone)]
 struct NodeNames {
     node: Arc<str>,
     actors: Vec<Arc<str>>,
+    labels: Vec<Vec<Arc<str>>>,
 }
 
 /// Broadcast subscribers of one publication: `(node, board address)`
@@ -250,9 +262,8 @@ pub struct Simulator {
     /// Node name → index, built once at boot (`node_index` is on the
     /// `read_symbol`/`uart_take` hot paths).
     name_index: HashMap<String, usize>,
-    /// Interned node/actor names, built once at boot — event logging
-    /// clones an `Arc`, never a `String` (`SimEvent` is pushed on every
-    /// release, completion and publication).
+    /// Interned node, actor and publication-label names, built once at
+    /// boot — a recorded event clones an `Arc`, never a `String`.
     names: Vec<NodeNames>,
     /// Precomputed broadcast routes: `pub_routes[ni][ti][pi]` lists the
     /// `(subscriber node, board address)` pairs carrying publication
@@ -283,7 +294,9 @@ pub struct Simulator {
     /// Releases that replayed a memoized step (VM skipped) / ran the VM.
     memo_hits: u64,
     memo_misses: u64,
-    events: Vec<SimEvent>,
+    /// The event log: `None` (nothing recorded, nothing built) until
+    /// [`Simulator::record_events`] turns it on.
+    events: Option<Vec<SimEvent>>,
     now_ns: u64,
 }
 
@@ -383,6 +396,16 @@ impl Simulator {
                     .iter()
                     .map(|t| Arc::from(t.actor.as_str()))
                     .collect(),
+                labels: n
+                    .tasks
+                    .iter()
+                    .map(|t| {
+                        t.publications
+                            .iter()
+                            .map(|p| Arc::from(p.label.as_str()))
+                            .collect()
+                    })
+                    .collect(),
             })
             .collect();
         let pub_routes = image
@@ -430,7 +453,7 @@ impl Simulator {
             job_counts: vec![0; n],
             memo_hits: 0,
             memo_misses: 0,
-            events: Vec::new(),
+            events: None,
             now_ns: 0,
         })
     }
@@ -450,9 +473,22 @@ impl Simulator {
         &self.image
     }
 
-    /// The event log so far, in time order.
+    /// The events recorded since [`Simulator::record_events`] turned the
+    /// log on (or since the last [`Simulator::restore_state`]), in time
+    /// order. Empty while the log is off, which is the default.
     pub fn events(&self) -> &[SimEvent] {
-        &self.events
+        self.events.as_deref().unwrap_or_default()
+    }
+
+    /// Turns the event log on from this instant: every later stimulus,
+    /// release, completion, deadline miss and publication is appended to
+    /// [`Simulator::events`]. Events before the call are not recovered,
+    /// so a caller that wants the whole run opts in right after boot.
+    /// Calling it again keeps the log recorded so far. There is no call
+    /// to turn the log off; a simulator that records keeps recording,
+    /// also across [`Simulator::restore_state`].
+    pub fn record_events(&mut self) {
+        self.events.get_or_insert_with(Vec::new);
     }
 
     /// Step-memoization counters: `(hits, misses)`. A *hit* is a task
@@ -952,22 +988,25 @@ impl Simulator {
     /// Books a finished activation: logs completion (and a deadline miss
     /// when late) and routes its publication.
     fn complete_job(&mut self, ni: usize, ti: usize, job: Job, tc: u64) {
-        let node_name = self.names[ni].node.clone();
-        let actor = self.names[ni].actors[ti].clone();
-        self.events.push(SimEvent::Completion {
-            time_ns: tc,
-            node: node_name.clone(),
-            actor: actor.clone(),
-            response_ns: tc - job.release_ns,
-            cycles: job.total_cycles,
-        });
-        if tc > job.deadline_ns {
-            self.events.push(SimEvent::DeadlineMiss {
+        if let Some(log) = &mut self.events {
+            let (node, actor) = (&self.names[ni].node, &self.names[ni].actors[ti]);
+            log.push(SimEvent::Completion {
                 time_ns: tc,
-                node: node_name,
-                actor,
-                overrun_ns: tc - job.deadline_ns,
+                node: node.clone(),
+                actor: actor.clone(),
+                response_ns: tc - job.release_ns,
+                cycles: job.total_cycles,
             });
+            if tc > job.deadline_ns {
+                log.push(SimEvent::DeadlineMiss {
+                    time_ns: tc,
+                    node: node.clone(),
+                    actor: actor.clone(),
+                    overrun_ns: tc - job.deadline_ns,
+                });
+            }
+        }
+        if tc > job.deadline_ns {
             // The deadline instant has passed: publish as late as reality.
             self.publish(ni, ti, &job.pub_raw, tc);
         } else if self.config.latch_outputs {
@@ -1001,13 +1040,15 @@ impl Simulator {
         let task = &image.nodes[ni].tasks[ti];
         for (pi, (p, &raw)) in task.publications.iter().zip(pub_raw.iter()).enumerate() {
             nodes[ni].data[p.board as usize] = raw;
-            events.push(SimEvent::Publish {
-                time_ns: t,
-                node: names[ni].node.clone(),
-                actor: names[ni].actors[ti].clone(),
-                label: p.label.clone(),
-                value: SignalValue::from_raw(p.ty, raw),
-            });
+            if let Some(log) = events {
+                log.push(SimEvent::Publish {
+                    time_ns: t,
+                    node: names[ni].node.clone(),
+                    actor: names[ni].actors[ti].clone(),
+                    label: names[ni].labels[ti][pi].clone(),
+                    value: SignalValue::from_raw(p.ty, raw),
+                });
+            }
             for &(oj, addr) in &pub_routes[ni][ti][pi] {
                 if config.bus_latency_ns == 0 {
                     nodes[oj].data[addr as usize] = raw;
@@ -1028,18 +1069,19 @@ impl Simulator {
             if *st != t {
                 break;
             }
-            let (label, value) = (label.clone(), *value);
             self.stim_pos += 1;
             for ni in 0..self.nodes.len() {
-                if let Some(sym) = self.image.nodes[ni].board.get(&label).copied() {
+                if let Some(sym) = self.image.nodes[ni].board.get(label) {
                     self.nodes[ni].data[sym.addr as usize] = value.to_raw();
                 }
             }
-            self.events.push(SimEvent::Stimulus {
-                time_ns: t,
-                label,
-                value,
-            });
+            if let Some(log) = &mut self.events {
+                log.push(SimEvent::Stimulus {
+                    time_ns: t,
+                    label: label.clone(),
+                    value: *value,
+                });
+            }
         }
     }
 
@@ -1142,11 +1184,13 @@ impl Simulator {
             .iter()
             .map(|p| nrt.data[p.latch as usize])
             .collect();
-        events.push(SimEvent::Release {
-            time_ns: t,
-            node: names[ni].node.clone(),
-            actor: names[ni].actors[ti].clone(),
-        });
+        if let Some(log) = events {
+            log.push(SimEvent::Release {
+                time_ns: t,
+                node: names[ni].node.clone(),
+                actor: names[ni].actors[ti].clone(),
+            });
+        }
         let was_idle = nrt.tasks[ti].jobs.is_empty();
         let rt = &mut nrt.tasks[ti];
         let seq = rt.next_seq;
@@ -1218,9 +1262,10 @@ struct NodeState {
 ///
 /// Two things are intentionally **not** state:
 ///
-/// * the [`Simulator::events`] log — a grow-only observability log, never
-///   read back by the kernel; a restored simulator starts with an empty
-///   log and appends only post-restore events;
+/// * the [`Simulator::events`] log and whether it is on — an opt-in
+///   observability log, never read back by the kernel. Restoring
+///   empties the log of a simulator that records, which then appends
+///   only post-restore events; one that does not record stays off;
 /// * the memo-hit counters' future trajectory — the cache restarts cold,
 ///   so a restored run may report more misses than the uninterrupted one
 ///   while producing the identical event/UART stream.
@@ -1284,8 +1329,8 @@ impl Simulator {
     /// booted off the **same image and configuration**) into this one,
     /// rebuilding all derived structures: calendar entries for armed
     /// releases and queued deadline publications, the per-node ready
-    /// index, job counts, and fresh (empty) step-memo caches. The event
-    /// log is cleared — see [`SimState`].
+    /// index, job counts, and fresh (empty) step-memo caches. A recorded
+    /// event log is cleared, and recording stays on — see [`SimState`].
     ///
     /// # Errors
     ///
@@ -1347,7 +1392,9 @@ impl Simulator {
         self.deliveries = state.deliveries.iter().cloned().collect();
         self.memo_hits = state.memo_hits;
         self.memo_misses = state.memo_misses;
-        self.events.clear();
+        if let Some(log) = &mut self.events {
+            log.clear();
+        }
         self.calendar = Calendar::default();
         self.epochs = vec![0; n];
         self.dirty.clear();

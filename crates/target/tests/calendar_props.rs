@@ -245,6 +245,7 @@ fn observe(
     .expect("compiles");
     let node_names: Vec<String> = image.nodes.iter().map(|n| n.node.clone()).collect();
     let mut sim = Simulator::new(image, config).expect("boots");
+    sim.record_events();
     // Stimuli on `u`: a step profile every 3 ms, plus one mid-slice.
     for k in 0..7u64 {
         sim.schedule_signal(k * 3_000_000, "u", SignalValue::Real((k % 3) as f64))
@@ -265,6 +266,7 @@ fn observe(
         .iter()
         .map(|n| sim.uart_take(n).expect("known node"))
         .collect();
+    assert!(!sim.events().is_empty(), "the run must record events");
     (format!("{:?}", sim.events()), bytes)
 }
 
@@ -352,7 +354,9 @@ fn boot(system: &System, config: SimConfig) -> Simulator {
         },
     )
     .expect("compiles");
-    Simulator::new(image, config).expect("boots")
+    let mut sim = Simulator::new(image, config).expect("boots");
+    sim.record_events();
+    sim
 }
 
 #[test]
@@ -374,6 +378,7 @@ fn memo_hits_skip_the_vm_without_changing_behaviour() {
         sim.run_until(20_000_000).unwrap();
         let bytes = sim.uart_take("ecu").unwrap();
         let out = sim.read_signal("ecu", "out").unwrap();
+        assert!(!sim.events().is_empty(), "the run must record events");
         (format!("{:?}", sim.events()), bytes, out, sim.memo_stats())
     };
     let (ev_on, bytes_on, out_on, (hits, misses)) = run(true);
@@ -447,6 +452,7 @@ fn cyclic_fsm_footprints_repeat_and_stay_exact() {
         },
     );
     plain.run_until(15_000_000).unwrap();
+    assert!(!plain.events().is_empty(), "the run must record events");
     assert_eq!(
         format!("{:?}", memoized.events()),
         format!("{:?}", plain.events())

@@ -49,7 +49,9 @@ fn boot(system: &System, instrument: InstrumentOptions, config: SimConfig) -> Si
         },
     )
     .expect("compiles");
-    Simulator::new(image, config).expect("boots")
+    let mut sim = Simulator::new(image, config).expect("boots");
+    sim.record_events();
+    sim
 }
 
 #[test]
@@ -172,6 +174,7 @@ fn same_image_and_config_replay_identically() {
             .unwrap();
         sim.run_until(30_000_000).unwrap();
         let bytes = sim.uart_take("ecu").unwrap();
+        assert!(!sim.events().is_empty(), "the run must record events");
         (format!("{:?}", sim.events()), bytes)
     };
     let (events_a, bytes_a) = run();
@@ -189,6 +192,7 @@ fn incremental_runs_match_one_big_run() {
     for t in [1_000_000, 1_500_000, 9_999_999, 20_000_000, 25_000_000] {
         b.run_until(t).unwrap();
     }
+    assert!(!a.events().is_empty(), "the run must record events");
     assert_eq!(format!("{:?}", a.events()), format!("{:?}", b.events()));
     assert_eq!(a.uart_take("ecu").unwrap(), b.uart_take("ecu").unwrap());
 }
@@ -208,6 +212,7 @@ fn slice_pumping_matches_one_big_run() {
         assert_eq!(now, b.now_ns());
         k += 1;
     }
+    assert!(!a.events().is_empty(), "the run must record events");
     assert_eq!(format!("{:?}", a.events()), format!("{:?}", b.events()));
     assert_eq!(a.uart_take("ecu").unwrap(), b.uart_take("ecu").unwrap());
 }
@@ -512,6 +517,7 @@ fn sub_cycle_stepping_matches_one_big_run() {
         fine.run_until(t).unwrap();
     }
 
+    assert!(!big.events().is_empty(), "the run must record events");
     assert_eq!(
         format!("{:?}", big.events()),
         format!("{:?}", fine.events())
@@ -594,4 +600,91 @@ fn tick_quantization_aligns_releases() {
             assert_eq!(time_ns % 300_000, 0, "release off the kernel tick");
         }
     }
+}
+
+#[test]
+fn the_event_log_is_kept_only_from_the_opt_in() {
+    let system = ring_system(4, 0.002, 1_000_000);
+    let image = compile_system(
+        &system,
+        &CompileOptions {
+            instrument: InstrumentOptions::behavior(),
+            faults: vec![],
+        },
+    )
+    .expect("compiles");
+    let mut quiet = Simulator::new(image.clone(), SimConfig::default()).expect("boots");
+    let mut recording = Simulator::new(image, SimConfig::default()).expect("boots");
+    for sim in [&mut quiet, &mut recording] {
+        sim.run_until(10_000_000).unwrap();
+        assert!(sim.events().is_empty(), "a fresh simulator keeps no log");
+    }
+    recording.record_events();
+    for sim in [&mut quiet, &mut recording] {
+        sim.run_until(20_000_000).unwrap();
+    }
+    assert!(
+        quiet.events().is_empty(),
+        "the log stays off without the opt-in"
+    );
+    let releases = recording
+        .events()
+        .iter()
+        .filter(|e| matches!(e, SimEvent::Release { .. }))
+        .count();
+    assert_eq!(releases, 10, "one release per period after the opt-in");
+    assert!(
+        recording.events().iter().all(|e| e.time_ns() > 10_000_000),
+        "nothing before the opt-in is recorded"
+    );
+    // Recording observes; it changes nothing the platform does.
+    assert_eq!(
+        quiet.uart_take("ecu").unwrap(),
+        recording.uart_take("ecu").unwrap()
+    );
+    assert_eq!(
+        quiet.read_signal("ecu", "state_sig").unwrap(),
+        recording.read_signal("ecu", "state_sig").unwrap()
+    );
+}
+
+#[test]
+fn restore_empties_the_log_and_keeps_the_switch() {
+    let system = ring_system(4, 0.002, 1_000_000);
+    let mut whole = boot(&system, InstrumentOptions::none(), SimConfig::default());
+    whole.run_until(20_000_000).unwrap();
+
+    let mut sim = boot(&system, InstrumentOptions::none(), SimConfig::default());
+    sim.run_until(10_000_000).unwrap();
+    let state = sim.save_state();
+    sim.run_until(20_000_000).unwrap();
+    assert!(!sim.events().is_empty(), "the run must record events");
+    sim.restore_state(&state).unwrap();
+    assert!(sim.events().is_empty(), "restore empties the log");
+    sim.run_until(20_000_000).unwrap();
+    let after_restore: Vec<&SimEvent> = whole
+        .events()
+        .iter()
+        .filter(|e| e.time_ns() > 10_000_000)
+        .collect();
+    assert!(!after_restore.is_empty());
+    assert_eq!(
+        format!("{:?}", sim.events()),
+        format!("{after_restore:?}"),
+        "a recording simulator keeps recording after restore"
+    );
+
+    // A simulator that never opted in stays quiet across a restore.
+    let image = compile_system(
+        &system,
+        &CompileOptions {
+            instrument: InstrumentOptions::none(),
+            faults: vec![],
+        },
+    )
+    .expect("compiles");
+    let mut quiet = Simulator::new(image, SimConfig::default()).expect("boots");
+    quiet.restore_state(&state).unwrap();
+    quiet.run_until(20_000_000).unwrap();
+    assert!(quiet.events().is_empty());
 }

@@ -200,6 +200,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Simulation: does reality agree? ----------------------------
     const HORIZON_NS: u64 = 200_000_000;
     let mut sim = Simulator::new(image, config)?;
+    sim.record_events();
     sim.run_until(HORIZON_NS)?;
 
     let mut max_response: BTreeMap<(String, String), u64> = BTreeMap::new();

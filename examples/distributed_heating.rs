@@ -163,13 +163,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ..SimConfig::default()
             },
         )?;
+        sim.record_events();
         sim.schedule_signal(0, "raw_temp", SignalValue::Real(18.0))?;
         sim.run_until(5_000_000_000)?;
         let times: Vec<u64> = sim
             .events()
             .iter()
             .filter_map(|e| match e {
-                SimEvent::Publish { time_ns, label, .. } if label == "valve_pos" => Some(*time_ns),
+                SimEvent::Publish { time_ns, label, .. } if &**label == "valve_pos" => {
+                    Some(*time_ns)
+                }
                 _ => None,
             })
             .collect();

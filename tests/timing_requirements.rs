@@ -103,6 +103,7 @@ fn deadline_misses_are_visible_in_simulator_events() {
     )
     .unwrap();
     let mut sim = Simulator::new(image, SimConfig::default()).unwrap();
+    sim.record_events();
     sim.run_until(10_000_000).unwrap();
     let misses = sim
         .events()
@@ -125,6 +126,7 @@ fn response_time_scales_with_clock() {
         )
         .unwrap();
         let mut sim = Simulator::new(image, SimConfig::default()).unwrap();
+        sim.record_events();
         sim.run_until(10_000_000).unwrap();
         sim.events()
             .iter()
