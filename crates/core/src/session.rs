@@ -127,14 +127,18 @@ pub struct RunReport {
 /// Full serializable state of a [`DebugSession`] at one instant — the
 /// unit a checkpoint store persists for O(interval) time travel.
 ///
-/// Captures the target platform ([`SimState`]), the channel's
-/// mid-stream decode state (partial UART frames / JTAG change
-/// detection), the engine's presentation state
-/// ([`EngineCheckpoint`]), the stimulus schedule, and the trace length
-/// at the instant. The execution trace itself is **not** inside the
-/// checkpoint: it lives in its own (segmented) store, and a restored
-/// session regenerates entries from `trace_len` onward by
-/// deterministic replay.
+/// Captures the target platform ([`SimState`], which holds the one
+/// stimulus schedule), the channel's mid-stream decode state (partial
+/// UART frames / JTAG change detection), the engine's presentation
+/// state ([`EngineCheckpoint`]), and the trace length at the instant.
+/// The execution trace itself is **not** inside the checkpoint: it
+/// lives in its own (segmented) store, and a restored session
+/// regenerates entries from `trace_len` onward by deterministic
+/// replay.
+///
+/// Images written while the session kept its own copy of the schedule
+/// carry a top-level `stimuli` key as well; deserializing ignores it,
+/// so they still restore.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionCheckpoint {
     sim: SimState,
@@ -142,7 +146,6 @@ pub struct SessionCheckpoint {
     /// Per-node frame decoders in node order (active channel only).
     active: Option<Vec<FrameDecoder>>,
     passive: Option<JtagState>,
-    stimuli: Vec<(u64, String, SignalValue)>,
     trace_len: u64,
 }
 
@@ -166,7 +169,6 @@ pub struct DebugSession {
     engine: DebuggerEngine,
     active: Option<Vec<(String, ActiveChannel)>>,
     passive: Option<(JtagMonitor, PassiveChannel)>,
-    stimuli: Vec<(u64, String, SignalValue)>,
     /// Reused UART drain buffer — the pump runs every slice, and a fresh
     /// allocation per node per slice is measurable at fleet scale.
     uart_buf: Vec<(u64, u8)>,
@@ -232,7 +234,6 @@ impl DebugSession {
             engine,
             active,
             passive,
-            stimuli: Vec::new(),
             uart_buf: Vec::new(),
         })
     }
@@ -252,35 +253,22 @@ impl DebugSession {
         &mut self.engine
     }
 
-    /// Replaces the execution trace's backend (e.g. with a segmented
-    /// on-disk [`gmdf_engine::SegmentStore`]). Attaching a non-empty
-    /// store puts the trace into deterministic catch-up mode — see
-    /// [`gmdf_engine::ExecutionTrace`]'s type docs.
-    pub fn set_trace_store(&mut self, store: Box<dyn gmdf_engine::TraceStore>) {
-        self.engine.set_trace_store(store);
-    }
-
-    /// Replaces the trace's backend *without* catch-up: the store's
-    /// current length becomes the next sequence number, and recording
-    /// continues from there. This is how a time-travel replica resumes
-    /// from a checkpoint — the entries before the checkpoint already
-    /// live in the durable store and must not be regenerated.
+    /// Attaches `store` as the trace's backend with its current length
+    /// as the next sequence number, so recording continues after the
+    /// entries it holds and none of them is re-derived. This is how a
+    /// time-travel replica resumes from a checkpoint: the entries before
+    /// the checkpoint already live in the durable store. Every other
+    /// attach goes through [`DebuggerEngine::set_trace_store_at`] on
+    /// [`DebugSession::engine_mut`].
     pub fn resume_trace_store(&mut self, store: Box<dyn gmdf_engine::TraceStore>) {
-        self.engine.resume_trace_store(store);
-    }
-
-    /// Replaces the trace's backend with `next_seq` as the next
-    /// sequence number — a restored [`SessionCheckpoint::trace_len`].
-    /// Entries the store already holds from there on are re-derived by
-    /// deterministic catch-up instead of duplicated; see
-    /// [`gmdf_engine::DebuggerEngine::set_trace_store_at`].
-    pub fn set_trace_store_at(&mut self, store: Box<dyn gmdf_engine::TraceStore>, next_seq: u64) {
+        let next_seq = store.len();
         self.engine.set_trace_store_at(store, next_seq);
     }
 
-    /// Captures the session's complete dynamic state — target, channel
-    /// decode state, engine presentation state, stimulus schedule and
-    /// trace position — as one serializable [`SessionCheckpoint`].
+    /// Captures the session's complete dynamic state — target (with the
+    /// stimulus schedule), channel decode state, engine presentation
+    /// state and trace position — as one serializable
+    /// [`SessionCheckpoint`].
     pub fn save_state(&self) -> SessionCheckpoint {
         SessionCheckpoint {
             sim: self.sim.save_state(),
@@ -290,7 +278,6 @@ impl DebugSession {
                 .as_ref()
                 .map(|chans| chans.iter().map(|(_, c)| c.decoder_state()).collect()),
             passive: self.passive.as_ref().map(|(m, _)| m.save_state()),
-            stimuli: self.stimuli.clone(),
             trace_len: self.engine.trace().len() as u64,
         }
     }
@@ -299,11 +286,15 @@ impl DebugSession {
     /// have been built from the same [`SessionSpec`](crate::SessionSpec)
     /// (same system, GDM, channel mode and configuration). After restore
     /// the session behaves bit-identically to the one the snapshot was
-    /// taken from — same future events, same trace entries.
+    /// taken from — same future events, same trace entries, and the same
+    /// reference run, since the restored simulator carries the whole
+    /// stimulus schedule.
     ///
     /// The execution trace is **not** touched: pair this with
-    /// [`DebugSession::resume_trace_store`] (or a fresh store) so the
-    /// trace position matches [`SessionCheckpoint::trace_len`].
+    /// [`DebugSession::resume_trace_store`], or with
+    /// [`DebuggerEngine::set_trace_store_at`] at
+    /// [`SessionCheckpoint::trace_len`], so the trace position matches
+    /// the image.
     ///
     /// # Errors
     ///
@@ -335,41 +326,8 @@ impl DebugSession {
         if let (Some((monitor, _)), Some(jtag)) = (&mut self.passive, &state.passive) {
             monitor.restore_state(jtag)?;
         }
-        self.stimuli = state.stimuli.clone();
         self.uart_buf.clear();
         Ok(())
-    }
-
-    /// Flushes the trace's backing store, surfacing any sticky
-    /// storage failure.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store failure.
-    pub fn sync_trace(&mut self) -> Result<(), gmdf_engine::StoreError> {
-        self.engine.sync_trace()
-    }
-
-    /// Runs one bounded unit of trace-store maintenance (segment
-    /// compression / retention eviction). A no-op on stores without a
-    /// retention policy — the debug server's compactor thread calls
-    /// this off the pump path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store failure.
-    pub fn maintain_trace(
-        &mut self,
-    ) -> Result<gmdf_engine::MaintenanceReport, gmdf_engine::StoreError> {
-        self.engine.maintain_trace()
-    }
-
-    /// Pins the trace store's retention floor so eviction never drops
-    /// an entry at or past the oldest retained checkpoint's trace
-    /// position — see
-    /// [`gmdf_engine::TraceStore::set_retain_floor`].
-    pub fn set_trace_retain_floor(&mut self, floor: u64) {
-        self.engine.set_trace_retain_floor(floor);
     }
 
     /// The target simulator. A session's record of the run is its
@@ -398,7 +356,14 @@ impl DebugSession {
         &mut self.sim
     }
 
-    /// Schedules an environment (sensor) stimulus.
+    /// Schedules an environment (sensor) stimulus on the target. The
+    /// simulator's schedule ([`Simulator::stimuli`]) is the session's
+    /// only stimulus list: the reference run of
+    /// [`DebugSession::classify_against_model`] replays it, so a
+    /// stimulus scheduled here or through
+    /// [`DebugSession::simulator_mut`] reaches the target and the
+    /// reference alike. A stimulus dated before
+    /// [`DebugSession::now_ns`] is dropped by both.
     ///
     /// # Errors
     ///
@@ -409,9 +374,9 @@ impl DebugSession {
         label: &str,
         value: SignalValue,
     ) -> Result<(), SessionError> {
-        self.sim.schedule_signal(time_ns, label, value)?;
-        self.stimuli.push((time_ns, label.to_owned(), value));
-        Ok(())
+        self.sim
+            .schedule_signal(time_ns, label, value)
+            .map_err(SessionError::Sim)
     }
 
     /// Checks, without changing anything, whether
@@ -537,15 +502,16 @@ impl DebugSession {
         Ok(classify(&observed, &reference))
     }
 
-    /// The reference interpreter's behaviour stream for this session's
-    /// stimuli, up to the current simulation time.
+    /// The reference interpreter's behaviour stream for the target's
+    /// stimulus schedule ([`Simulator::stimuli`]), up to the current
+    /// simulation time.
     ///
     /// # Errors
     ///
     /// Propagates interpreter errors.
     pub fn reference_events(&self) -> Result<Vec<ModelEvent>, SessionError> {
         let mut interp = Interpreter::new(&self.system)?;
-        for (t, label, value) in &self.stimuli {
+        for (t, label, value) in self.sim.stimuli() {
             interp.add_stimulus(*t, label, *value);
         }
         interp.run_until(self.sim.now_ns())?;
@@ -600,8 +566,57 @@ mod tests {
         System::new("blink").with_node(node)
     }
 
+    /// A light that leaves Green for Yellow while `button` is pressed,
+    /// or for Red after 4 ms without it, and cycles back to Green.
+    fn light_system() -> System {
+        let dwell = |s: f64| Expr::var(gmdf_comdes::VAR_TIME_IN_STATE).ge(Expr::Real(s));
+        let fsm = FsmBuilder::new()
+            .input(Port::boolean("button"))
+            .output(Port::int("lamp"))
+            .state("Green", |s| s.entry("lamp", Expr::Int(1)))
+            .state("Yellow", |s| s.entry("lamp", Expr::Int(2)))
+            .state("Red", |s| s.entry("lamp", Expr::Int(0)))
+            .transition("Green", "Yellow", Expr::var("button"))
+            .transition("Green", "Red", dwell(0.004))
+            .transition("Yellow", "Red", dwell(0.001))
+            .transition("Red", "Green", dwell(0.002))
+            .initial("Green")
+            .build()
+            .unwrap();
+        let net = NetworkBuilder::new()
+            .input(Port::boolean("button"))
+            .output(Port::int("lamp"))
+            .state_machine("ctl", fsm)
+            .connect("button", "ctl.button")
+            .unwrap()
+            .connect("ctl.lamp", "lamp")
+            .unwrap()
+            .build()
+            .unwrap();
+        let actor = ActorBuilder::new("Light", net)
+            .input("button", "button")
+            .output("lamp", "lamp")
+            .timing(Timing::periodic(1_000_000, 0))
+            .build()
+            .unwrap();
+        let mut node = NodeSpec::new("ecu", 50_000_000);
+        node.actors.push(actor);
+        System::new("light").with_node(node)
+    }
+
+    fn light_session() -> DebugSession {
+        build_system(light_system(), ChannelMode::Active, vec![])
+    }
+
     fn build(channel: ChannelMode, faults: Vec<gmdf_codegen::Fault>) -> DebugSession {
-        let system = blinker_system();
+        build_system(blinker_system(), channel, faults)
+    }
+
+    fn build_system(
+        system: System,
+        channel: ChannelMode,
+        faults: Vec<gmdf_codegen::Fault>,
+    ) -> DebugSession {
         let (_, model) = gmdf_comdes::export_system(&system).unwrap();
         let gdm = comdes_gdm_default(&model, "blinker");
         DebugSession::build(
@@ -711,6 +726,110 @@ mod tests {
             one_shot.engine().trace().to_json(),
             sliced.engine().trace().to_json()
         );
+    }
+
+    fn press(s: &mut DebugSession, at_ns: u64) {
+        s.schedule_signal(at_ns, "button", SignalValue::Bool(true))
+            .unwrap();
+        s.schedule_signal(at_ns + 200_000, "button", SignalValue::Bool(false))
+            .unwrap();
+    }
+
+    fn verdict(s: &DebugSession) -> (BugClass, Option<Divergence>) {
+        s.classify_against_model().unwrap()
+    }
+
+    /// A stimulus dated before the clock is dropped by the target, and
+    /// so by the reference run: a faithful build records a clean run's
+    /// trace and shows no divergence.
+    #[test]
+    fn a_stimulus_in_the_past_reaches_neither_target_nor_reference() {
+        let mut clean = light_session();
+        clean.run_for(20_000_000).unwrap();
+        let mut late = light_session();
+        late.run_for(10_000_000).unwrap();
+        late.schedule_signal(3_500_000, "button", SignalValue::Bool(true))
+            .unwrap();
+        late.run_for(10_000_000).unwrap();
+        assert!(late.simulator().stimuli().is_empty());
+        assert_eq!(
+            late.engine().trace().to_json(),
+            clean.engine().trace().to_json()
+        );
+        assert_eq!(verdict(&late), (BugClass::DesignError, None));
+    }
+
+    /// A stimulus scheduled on the simulator directly reaches the
+    /// reference run as well: the session records and classifies
+    /// exactly like one that scheduled it through `schedule_signal`.
+    #[test]
+    fn a_stimulus_scheduled_on_the_simulator_reaches_the_reference() {
+        let mut direct = light_session();
+        direct
+            .simulator_mut()
+            .schedule_signal(3_500_000, "button", SignalValue::Bool(true))
+            .unwrap();
+        let mut via_session = light_session();
+        via_session
+            .schedule_signal(3_500_000, "button", SignalValue::Bool(true))
+            .unwrap();
+        for s in [&mut direct, &mut via_session] {
+            s.run_for(10_000_000).unwrap();
+            s.run_for(10_000_000).unwrap();
+        }
+        let trace = direct.engine().trace().to_json();
+        assert!(trace.contains("Yellow"), "the press took effect");
+        assert_eq!(trace, via_session.engine().trace().to_json());
+        assert_eq!(verdict(&direct), (BugClass::DesignError, None));
+        assert_eq!(verdict(&via_session), (BugClass::DesignError, None));
+    }
+
+    /// An image holds the stimulus schedule once, inside the
+    /// simulator's state: each scheduled stimulus puts its label into
+    /// the JSON exactly once.
+    #[test]
+    fn an_image_holds_the_stimulus_schedule_once() {
+        let mut s = light_session();
+        press(&mut s, 3_500_000);
+        press(&mut s, 14_500_000);
+        s.run_for(10_000_000).unwrap();
+        let json = serde_json::to_string(&s.save_state()).unwrap();
+        assert_eq!(json.matches("\"button\"").count(), 4, "{json}");
+    }
+
+    /// An image written while the session kept its own stimulus copy
+    /// has a top-level `stimuli` key, and that copy could hold a
+    /// stimulus the target dropped. Such an image still restores, the
+    /// key is ignored, and the restored session records the
+    /// uninterrupted session's trace and reaches its verdict.
+    #[test]
+    fn an_image_with_a_stimuli_key_still_restores() {
+        let mut live = light_session();
+        press(&mut live, 3_500_000);
+        press(&mut live, 14_500_000);
+        live.run_for(10_000_000).unwrap();
+        let stale = (2_000_000, "button".to_owned(), SignalValue::Bool(true));
+        live.schedule_signal(stale.0, &stale.1, stale.2).unwrap();
+        let image = serde_json::to_string(&live.save_state()).unwrap();
+        let mut copy = live.simulator().stimuli().to_vec();
+        copy.push(stale);
+        let copy = serde_json::to_string(&copy).unwrap();
+        let old_image = format!("{{\"stimuli\":{copy},{}", &image[1..]);
+        let state: SessionCheckpoint = serde_json::from_str(&old_image).unwrap();
+
+        let mut restored = light_session();
+        restored.restore_state(&state).unwrap();
+        restored.resume_trace_store(Box::new(gmdf_engine::MemStore::from_entries(
+            live.engine().trace().entries(),
+        )));
+        live.run_for(10_000_000).unwrap();
+        restored.run_for(10_000_000).unwrap();
+        assert_eq!(
+            restored.engine().trace().to_json(),
+            live.engine().trace().to_json()
+        );
+        assert_eq!(verdict(&restored), verdict(&live));
+        assert_eq!(verdict(&live), (BugClass::DesignError, None));
     }
 
     #[test]

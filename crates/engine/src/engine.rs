@@ -116,34 +116,30 @@ impl DebuggerEngine {
         &self.trace
     }
 
-    /// Replaces the trace backend ([`crate::store::TraceStore`]) —
-    /// e.g. a segmented on-disk store for a trace that must survive
-    /// the process. Attaching a non-empty store puts the trace in
-    /// deterministic catch-up mode: re-fed commands that are already
-    /// persisted are dropped instead of duplicated, which is how a
-    /// restored session replays to its saved point. Intended to be
-    /// called before the first command; entries already recorded into
-    /// the previous backend are not migrated.
+    /// [`DebuggerEngine::set_trace_store_at`] with `0`: a non-empty
+    /// store puts the trace in deterministic catch-up mode from the
+    /// first command, which is how a session restored from time zero
+    /// replays to its saved point.
     pub fn set_trace_store(&mut self, store: Box<dyn crate::store::TraceStore>) {
-        self.trace = ExecutionTrace::with_store(store);
+        self.set_trace_store_at(store, 0);
     }
 
-    /// Replaces the trace backend, with `next_seq` as the sequence
-    /// number of the next recorded command — the trace position of a
-    /// restored [`EngineCheckpoint`]. Re-fed commands below the store's
-    /// length are dropped as deterministic catch-up, so a restart from
-    /// a checkpoint re-derives only `[next_seq, store.len())`; `0` is
-    /// [`DebuggerEngine::set_trace_store`] and `store.len()` is
-    /// [`DebuggerEngine::resume_trace_store`]. See
-    /// [`ExecutionTrace::with_store_at`].
+    /// Attaches a trace backend ([`crate::store::TraceStore`]), e.g. a
+    /// segmented on-disk store for a trace that must survive the
+    /// process, with `next_seq` as the sequence number of the next
+    /// recorded command. Re-fed commands below the store's length are
+    /// dropped as deterministic catch-up: `0` re-derives the whole
+    /// stored run, the trace position of a restored [`EngineCheckpoint`]
+    /// only the rest, and `store.len()` nothing. The metrics sink set by
+    /// [`DebuggerEngine::set_trace_metrics`] stays attached. See
+    /// [`ExecutionTrace::attach`].
     pub fn set_trace_store_at(&mut self, store: Box<dyn crate::store::TraceStore>, next_seq: u64) {
-        self.trace = ExecutionTrace::with_store_at(store, next_seq);
+        self.trace.attach(store, next_seq);
     }
 
     /// Attaches (or detaches) a metrics sink on the trace: store appends
-    /// and range reads are timed into it from now on. Call *after* any
-    /// [`DebuggerEngine::set_trace_store`] — replacing the backend
-    /// builds a fresh trace without a sink.
+    /// and range reads are timed into it from now on, across later
+    /// [`DebuggerEngine::set_trace_store_at`] calls.
     pub fn set_trace_metrics(
         &mut self,
         metrics: Option<std::sync::Arc<crate::metrics::StoreMetrics>>,
@@ -317,16 +313,6 @@ impl DebuggerEngine {
         }
     }
 
-    /// Replaces the trace backend in **resume** mode: the trace's next
-    /// sequence number continues from `store.len()` instead of starting
-    /// at zero with deterministic catch-up. This is what a time-travel
-    /// replica uses after restoring a checkpoint — re-generated commands
-    /// append at the checkpoint boundary rather than being dropped
-    /// against an already-persisted prefix.
-    pub fn resume_trace_store(&mut self, store: Box<dyn crate::store::TraceStore>) {
-        self.trace = ExecutionTrace::resume_with_store(store);
-    }
-
     /// Captures the engine's dynamic state for a checkpoint: animation
     /// state, control state, breakpoints, expectation-monitor cursors,
     /// recorded violations, the paused-command queue and the counters.
@@ -347,8 +333,8 @@ impl DebuggerEngine {
 
     /// Restores a checkpointed engine state (see
     /// [`DebuggerEngine::save_state`]). The trace backend is untouched —
-    /// pair with [`DebuggerEngine::resume_trace_store`] /
-    /// [`DebuggerEngine::set_trace_store`] as the restore path requires.
+    /// pair with [`DebuggerEngine::set_trace_store_at`] at the image's
+    /// trace position.
     pub fn restore_state(&mut self, state: &EngineCheckpoint) {
         self.visual = state.visual.clone();
         self.state = state.state;
@@ -632,6 +618,24 @@ mod tests {
         assert_eq!(e.take_breakpoint_hits(), vec![(0, 1), (2, 3)]);
         assert_eq!(e.trace().get(2).unwrap().event.time_ns, 3);
         assert!(e.take_breakpoint_hits().is_empty());
+    }
+
+    #[test]
+    fn a_metrics_sink_outlives_a_store_attach() {
+        let metrics = std::sync::Arc::new(crate::metrics::StoreMetrics::default());
+        let mut e = DebuggerEngine::new(sample_gdm());
+        e.set_trace_metrics(Some(std::sync::Arc::clone(&metrics)));
+        e.feed(enter(1, "Run"));
+        let stored = e.trace().entries();
+        e.set_trace_store_at(Box::new(crate::store::MemStore::from_entries(stored)), 1);
+        e.feed(enter(2, "Error"));
+        assert_eq!(e.trace().len(), 2);
+        assert_eq!(
+            metrics.appends.get(),
+            2,
+            "the append after the attach is timed"
+        );
+        assert_eq!(metrics.append_ns.count(), 2);
     }
 
     #[test]

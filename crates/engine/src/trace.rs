@@ -123,45 +123,49 @@ impl Deserialize for ExecutionTrace {
 impl ExecutionTrace {
     /// Creates an empty in-memory trace.
     pub fn new() -> Self {
-        Self::with_store(Box::new(MemStore::default()))
+        ExecutionTrace {
+            store: Box::new(MemStore::default()),
+            next_seq: 0,
+            error: None,
+            metrics: None,
+        }
     }
 
     /// Creates a trace over `store`. A non-empty store puts the trace
     /// in deterministic catch-up mode (see the type docs).
     pub fn with_store(store: Box<dyn TraceStore>) -> Self {
-        Self::with_store_at(store, 0)
+        let mut trace = Self::new();
+        trace.attach(store, 0);
+        trace
     }
 
-    /// Creates a trace over `store` in **resume** mode: the next
-    /// sequence number continues from `store.len()` instead of starting
-    /// at zero with deterministic catch-up. A time-travel replica uses
-    /// this after restoring a checkpoint — the replayed suffix appends
-    /// at the checkpoint boundary (the store's length *is* the
-    /// checkpoint's trace length), never re-deriving the prefix.
-    pub fn resume_with_store(store: Box<dyn TraceStore>) -> Self {
-        let next_seq = store.len();
-        Self::with_store_at(store, next_seq)
-    }
-
-    /// Creates a trace over `store` whose next recorded command gets
-    /// sequence number `next_seq` — the trace position of a restored
-    /// checkpoint. Commands re-recorded below `store.len()` are dropped
-    /// as deterministic catch-up (see the type docs), so only
-    /// `[next_seq, store.len())` is re-derived before appends resume.
-    /// `next_seq` must not exceed `store.len()`: the trace would skip
-    /// the sequence numbers in between.
-    pub fn with_store_at(store: Box<dyn TraceStore>, next_seq: u64) -> Self {
+    /// Attaches `store` as the backend, in place: the next recorded
+    /// command gets sequence number `next_seq`. Commands re-recorded
+    /// below `store.len()` are dropped as deterministic catch-up (see
+    /// the type docs), so only `[next_seq, store.len())` is re-derived
+    /// before appends resume:
+    ///
+    /// * `0` re-derives the whole stored run (a restart from time
+    ///   zero);
+    /// * a restored checkpoint's trace position re-derives only the
+    ///   rest;
+    /// * `store.len()` re-derives nothing and appends right away (a
+    ///   time-travel replica whose store holds the prefix).
+    ///
+    /// The metrics sink stays attached, and the sticky error of the
+    /// previous backend is cleared. Entries recorded into the previous
+    /// backend are not migrated. `next_seq` must not exceed
+    /// `store.len()`: the trace would skip the sequence numbers in
+    /// between.
+    pub fn attach(&mut self, store: Box<dyn TraceStore>, next_seq: u64) {
         debug_assert!(
             next_seq <= store.len(),
             "next seq {next_seq} past the store's {} entries",
             store.len()
         );
-        ExecutionTrace {
-            store,
-            next_seq,
-            error: None,
-            metrics: None,
-        }
+        self.store = store;
+        self.next_seq = next_seq;
+        self.error = None;
     }
 
     /// Attaches a metrics sink: store appends and range reads are timed
@@ -633,7 +637,8 @@ mod tests {
         // entry 1 is re-derived, then appends resume at 2.
         let trace_entries = sample().entries();
         let store = crate::store::MemStore::from_entries(trace_entries.clone());
-        let mut t = ExecutionTrace::with_store_at(Box::new(store), 1);
+        let mut t = ExecutionTrace::new();
+        t.attach(Box::new(store), 1);
         assert!(t.catching_up());
         let s1 = t.record(trace_entries[1].event.clone(), vec![], vec![]);
         assert_eq!(s1, 1);

@@ -360,7 +360,7 @@ pub(crate) fn rebuild(
         }
         None => (0, 0),
     };
-    session.set_trace_store_at(store, next_seq);
+    session.engine_mut().set_trace_store_at(store, next_seq);
     let suffix = records.get(journal_pos as usize..).ok_or_else(|| {
         format!(
             "checkpoint journal position {journal_pos} is past the journal's {} records",
@@ -416,9 +416,8 @@ pub(crate) fn restore_session(
             serde_json::from_str(&text).map_err(|e| format!("session {id}: corrupt spec.json: {e}"))
         })?;
 
-    // The store's own meta.json codec wins over the configured one, so
-    // a fleet reconfigured to a new codec still reopens old session
-    // directories correctly.
+    // The store's own meta.json codec wins over the binary default, so
+    // a session directory written in the JSON codec still reopens.
     let store = SegmentStore::open_with(dir.join("trace"), config.segment_config())
         .map_err(|e| format!("session {id}: trace recovery failed: {e}"))?;
     let journal =
@@ -440,7 +439,7 @@ pub(crate) fn restore_session(
     // outlive retention eviction: a seek replays forward from that
     // checkpoint and pages its window out of the persisted prefix.
     if let Some(oldest) = checkpoints.as_ref().and_then(CheckpointStore::oldest_seq) {
-        session.set_trace_retain_floor(oldest);
+        session.engine_mut().set_trace_retain_floor(oldest);
     }
 
     let granted_ns = records
@@ -466,10 +465,7 @@ pub(crate) fn restore_session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_systems::blinker_system;
-    use gmdf::{ChannelMode, Workflow};
-    use gmdf_codegen::{CompileOptions, InstrumentOptions};
-    use gmdf_target::SimConfig;
+    use crate::test_systems::{blinker_system, spec_of, tmp_root};
 
     /// The literal JSON of one journal record per journaled command.
     /// Journals already on disk hold exactly these bytes, so a change
@@ -488,8 +484,7 @@ mod tests {
     /// length-prefixed literals, and `Journal::open` reads them back.
     #[test]
     fn journal_records_match_the_golden_bytes() {
-        let dir = std::env::temp_dir().join(format!("gmdf-journal-golden-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = tmp_root("journal-golden");
         std::fs::create_dir_all(&dir).expect("create temp dir");
         let mut journal = Journal::open(&dir.join("journal.log")).expect("open journal");
         let mut expected = Vec::new();
@@ -512,7 +507,6 @@ mod tests {
             .map(|record| serde_json::to_string(record).expect("serializes"))
             .collect();
         assert_eq!(read_back, GOLDEN_RECORDS);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// An image whose journal position lies past the valid journal (a
@@ -521,21 +515,10 @@ mod tests {
     /// next older image, and counts only that restore.
     #[test]
     fn picker_skips_an_image_past_the_journal_end() {
-        let spec = Workflow::from_system(blinker_system("picker", 0.0005, 500_000))
-            .expect("valid system")
-            .default_abstraction()
-            .default_commands()
-            .into_spec(
-                ChannelMode::Active,
-                CompileOptions {
-                    instrument: InstrumentOptions::behavior(),
-                    faults: vec![],
-                },
-                SimConfig::default(),
-            );
-        let mut session = spec.build().expect("builds");
-        let dir = std::env::temp_dir().join(format!("gmdf-picker-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let mut session = spec_of(blinker_system("picker", 0.0005, 500_000))
+            .build()
+            .expect("builds");
+        let dir = tmp_root("picker");
         let mut store = CheckpointStore::open(&dir).expect("open checkpoint store");
         let records = 2usize;
         for journal_pos in [1, records as u64 + 1] {
@@ -564,6 +547,5 @@ mod tests {
         let (meta, _) =
             newest_image(&store, records + 1, &registry, |_| true).expect("the newest image");
         assert_eq!(Some(meta), store.latest());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

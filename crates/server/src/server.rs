@@ -115,10 +115,6 @@ pub struct PersistConfig {
     /// Entries per trace segment file
     /// ([`gmdf_engine::SegmentStore`] capacity).
     pub segment_capacity: usize,
-    /// Trace record codec for *new* durable sessions. Existing session
-    /// directories keep whatever their `meta.json` records, so a server
-    /// reconfigured mid-fleet reopens old sessions correctly.
-    pub codec: Codec,
     /// Compaction/retention policy applied to every durable session's
     /// trace store. Disabled by default (nothing is compressed or
     /// evicted — the pre-retention behavior).
@@ -149,7 +145,6 @@ impl PersistConfig {
         PersistConfig {
             root: root.into(),
             segment_capacity: DEFAULT_SEGMENT_CAPACITY,
-            codec: Codec::Binary,
             retention: Retention::default(),
             compact_interval: Duration::from_millis(250),
             checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
@@ -160,13 +155,6 @@ impl PersistConfig {
     #[must_use]
     pub fn with_segment_capacity(mut self, capacity: usize) -> Self {
         self.segment_capacity = capacity.max(1);
-        self
-    }
-
-    /// Overrides the trace record codec for new durable sessions.
-    #[must_use]
-    pub fn with_codec(mut self, codec: Codec) -> Self {
-        self.codec = codec;
         self
     }
 
@@ -192,11 +180,14 @@ impl PersistConfig {
         self
     }
 
-    /// The store-level configuration this policy expands to.
+    /// The store-level configuration this policy expands to. New
+    /// durable sessions record in the binary codec; an existing session
+    /// directory keeps the codec its `meta.json` records, so one written
+    /// in the JSON codec still reopens.
     pub(crate) fn segment_config(&self) -> SegmentConfig {
         SegmentConfig {
             capacity: self.segment_capacity,
-            codec: self.codec,
+            codec: Codec::Binary,
             retention: self.retention,
         }
     }
@@ -683,7 +674,7 @@ impl DebugServer {
         let id = self.shared.next_id.fetch_add(1, Ordering::SeqCst);
         let (durable, store) =
             persist::create_session(persist, id, spec).map_err(ServerError::Persist)?;
-        session.set_trace_store(Box::new(store));
+        session.engine_mut().set_trace_store(Box::new(store));
         Ok(self.register(id, SessionInner::new(session, Some(durable))))
     }
 
@@ -695,9 +686,6 @@ impl DebugServer {
         let analysis = Arc::new(session.analyze().unwrap_or_else(|e| {
             AnalysisReport::from_failure(&session.simulator().image().system, e.to_string())
         }));
-        // Here, not before: a durable or restored session's trace store
-        // was swapped in by the caller, which builds a fresh trace
-        // without a metrics sink.
         if self.shared.metrics.enabled() {
             inner
                 .session
@@ -1374,7 +1362,7 @@ fn compactor_loop(shared: &Shared, sessions: &Mutex<Vec<Arc<SessionCell>>>, inte
             if inner.failed.is_some() {
                 continue;
             }
-            if let Err(e) = inner.session.maintain_trace() {
+            if let Err(e) = inner.session.engine_mut().maintain_trace() {
                 fail(
                     &mut inner,
                     cell.id,
@@ -1436,7 +1424,7 @@ fn run_turn(shared: &Shared, cell: &Arc<SessionCell>) {
                 // fsynced command journal instead: a trace tail lost
                 // with the OS is regenerated by deterministic replay
                 // on restore.)
-                if let Err(e) = inner.session.sync_trace() {
+                if let Err(e) = inner.session.engine_mut().sync_trace() {
                     fail(&mut inner, cell.id, &format!("trace store failed: {e}"));
                 } else {
                     // The trace is on disk; if the slice crossed a
@@ -1698,7 +1686,7 @@ fn maybe_checkpoint(inner: &mut SessionInner, id: SessionId, registry: &MetricsR
             // restores that checkpoint and pages its forward window out
             // of the persisted prefix.
             if let Some(oldest) = store.oldest_seq() {
-                inner.session.set_trace_retain_floor(oldest);
+                inner.session.engine_mut().set_trace_retain_floor(oldest);
             }
         }
         Err(e) => fail(inner, id, &format!("checkpoint write failed: {e}")),
@@ -2059,13 +2047,10 @@ fn broadcast(inner: &mut SessionInner, event: EngineEvent) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_systems::{blinker_system, ring_system};
+    use crate::test_systems::{blinker_system, ring_system, spec_of, tmp_root};
     use crate::PersistConfig;
-    use gmdf::{ChannelMode, Workflow};
-    use gmdf_codegen::{CompileOptions, InstrumentOptions};
     use gmdf_engine::EngineState;
     use gmdf_gdm::EventKind;
-    use gmdf_target::SimConfig;
 
     const WAIT: Duration = Duration::from_secs(120);
 
@@ -2077,18 +2062,7 @@ mod tests {
     /// in-memory run of that history.
     #[test]
     fn failed_journal_write_leaves_nothing_ahead_of_the_journal() {
-        let spec = Workflow::from_system(blinker_system("journal-fail", 0.0005, 500_000))
-            .expect("valid system")
-            .default_abstraction()
-            .default_commands()
-            .into_spec(
-                ChannelMode::Active,
-                CompileOptions {
-                    instrument: InstrumentOptions::behavior(),
-                    faults: vec![],
-                },
-                SimConfig::default(),
-            );
+        let spec = spec_of(blinker_system("journal-fail", 0.0005, 500_000));
         let config = || ServerConfig {
             workers: 1,
             slice_ns: 500_000,
@@ -2110,8 +2084,7 @@ mod tests {
         assert_eq!(expected.engine_state, EngineState::Paused);
         assert!(expected.pending > 0, "the Resume has commands to drain");
 
-        let root = std::env::temp_dir().join(format!("gmdf-journal-fail-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = tmp_root("journal-fail");
         let id = {
             let server = DebugServer::start_persistent(config(), PersistConfig::new(&root))
                 .expect("persistent server boots");
@@ -2152,23 +2125,6 @@ mod tests {
             ref_handle.snapshot(WAIT).expect("snapshot").trace_json,
             "the restored session continues exactly like the reference"
         );
-        drop(server);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    fn spec_of(system: gmdf_comdes::System) -> SessionSpec {
-        Workflow::from_system(system)
-            .expect("valid system")
-            .default_abstraction()
-            .default_commands()
-            .into_spec(
-                ChannelMode::Active,
-                CompileOptions {
-                    instrument: InstrumentOptions::behavior(),
-                    faults: vec![],
-                },
-                SimConfig::default(),
-            )
     }
 
     fn one_worker() -> ServerConfig {
@@ -2189,8 +2145,7 @@ mod tests {
     #[test]
     fn failed_session_drops_mutations_behind_a_torn_journal_record() {
         let spec = spec_of(blinker_system("journal-torn", 0.0005, 500_000));
-        let root = std::env::temp_dir().join(format!("gmdf-journal-torn-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = tmp_root("journal-torn");
         let (id, paused) = {
             let server = DebugServer::start_persistent(one_worker(), PersistConfig::new(&root))
                 .expect("persistent server boots");
@@ -2239,8 +2194,6 @@ mod tests {
         let resumed = handle.stats(WAIT).expect("stats");
         assert_eq!(resumed.pending, 0);
         assert_eq!(resumed.trace_len, paused.trace_len + paused.pending);
-        drop(server);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A durable add that fails part-way leaves no session behind. With
@@ -2250,8 +2203,7 @@ mod tests {
     #[test]
     fn failed_durable_add_leaves_no_session_behind() {
         let spec = spec_of(ring_system("failed-add", 3, 0.0008, 500_000));
-        let root = std::env::temp_dir().join(format!("gmdf-failed-add-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = tmp_root("failed-add");
         let config = PersistConfig::new(&root);
         let dir = persist::session_dir(&root, 0);
         std::fs::create_dir_all(&dir).expect("create session dir");
@@ -2273,8 +2225,6 @@ mod tests {
             .add_durable_session(&spec)
             .expect("the next add succeeds");
         assert_eq!(handle.id(), 0);
-        drop(server);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Shutdown drops the mail no worker will drain: the reply channel
@@ -2345,8 +2295,7 @@ mod tests {
     #[test]
     fn hosted_sessions_keep_no_simulator_event_log() {
         let spec = spec_of(ring_system("no-sim-log", 3, 0.0008, 500_000));
-        let root = std::env::temp_dir().join(format!("gmdf-no-sim-log-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = tmp_root("no-sim-log");
         let persist = || PersistConfig::new(&root).with_checkpoint_interval(0);
         let sim_log_len =
             |handle: &SessionHandle| lock(&handle.cell.inner).session.simulator().events().len();
@@ -2377,8 +2326,6 @@ mod tests {
             "catch-up re-ran the whole budget"
         );
         assert_eq!(sim_log_len(&handle), 0, "a restored session logs nothing");
-        drop(server);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A seek rebuilds from the session's in-memory spec and journal
@@ -2389,8 +2336,7 @@ mod tests {
     #[test]
     fn seeks_do_not_reread_the_session_files() {
         let spec = spec_of(ring_system("seek-files", 3, 0.0008, 500_000));
-        let root = std::env::temp_dir().join(format!("gmdf-seek-files-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = tmp_root("seek-files");
         let server = DebugServer::start_persistent(
             ServerConfig {
                 workers: 2,
@@ -2447,7 +2393,5 @@ mod tests {
         assert_eq!(seek(&damaged), report);
         assert_eq!(step_back(&damaged), step_back(&twin));
         assert_eq!(window(&damaged), window(&twin));
-        drop(server);
-        let _ = std::fs::remove_dir_all(&root);
     }
 }

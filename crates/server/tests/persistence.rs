@@ -13,7 +13,7 @@
 mod common;
 
 use common::{blinker_system, ring_system, spec_of, tmp_root};
-use gmdf_engine::{Codec, Retention, SegmentStore, TraceEntry};
+use gmdf_engine::{Retention, SegmentStore, TraceEntry};
 use gmdf_gdm::{CommandMatcher, EventKind};
 use gmdf_server::{
     DebugServer, EngineEvent, EventReceiver, PersistConfig, ServerConfig, ServerError,
@@ -253,7 +253,7 @@ proptest! {
         // Disk-backed run, pumped in a ragged slice partition.
         let root = tmp_root("equiv");
         let mut disk = spec_of(system("ring-mem")).build().expect("builds");
-        disk.set_trace_store(Box::new(
+        disk.engine_mut().set_trace_store(Box::new(
             SegmentStore::open(root.join("trace"), capacity).expect("store"),
         ));
         let mut k = 0usize;
@@ -262,7 +262,7 @@ proptest! {
             disk.run_for(dt).expect("slice");
             k += 1;
         }
-        disk.sync_trace().expect("sync");
+        disk.engine_mut().sync_trace().expect("sync");
 
         let mem_trace = mem.engine().trace();
         let disk_trace = disk.engine().trace();
@@ -790,7 +790,6 @@ fn retention_budget_bounds_disk_while_replay_spans_tiers() {
     let persist = || {
         PersistConfig::new(&root)
             .with_segment_capacity(16)
-            .with_codec(Codec::Binary)
             .with_retention(Retention {
                 compress_after: Some(1),
                 max_disk_bytes: Some(BUDGET),

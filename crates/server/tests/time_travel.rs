@@ -14,7 +14,7 @@ mod common;
 
 use common::{ring_system, spec_of, tmp_root};
 use gmdf_comdes::SignalValue;
-use gmdf_engine::{Codec, ExecutionTrace, Retention};
+use gmdf_engine::{ExecutionTrace, Retention};
 use gmdf_gdm::{CommandMatcher, EventKind};
 use gmdf_server::{
     DebugServer, PersistConfig, ServerConfig, SessionHandle, WireClient, WireServer,
@@ -368,7 +368,6 @@ fn eviction_never_outruns_the_oldest_checkpoint() {
         server_config(),
         PersistConfig::new(&root)
             .with_segment_capacity(16)
-            .with_codec(Codec::Binary)
             .with_retention(Retention {
                 compress_after: Some(1),
                 max_disk_bytes: Some(BUDGET),

@@ -524,7 +524,8 @@ impl Simulator {
     }
 
     /// Schedules an environment (sensor) write of `label` at `time_ns`.
-    /// Stimuli in the past are ignored, like the reference interpreter's.
+    /// A stimulus dated before [`Simulator::now_ns`] is dropped: it is
+    /// neither applied nor kept in [`Simulator::stimuli`].
     ///
     /// # Errors
     ///
@@ -546,6 +547,15 @@ impl Simulator {
             + self.stim_pos;
         self.stimuli.insert(at, (time_ns, label.to_owned(), value));
         Ok(())
+    }
+
+    /// The stimulus schedule: every stimulus [`Simulator::schedule_signal`]
+    /// kept, applied or not, as `(time_ns, label, value)` in time order,
+    /// same-instant stimuli in schedule order. It is the one stimulus
+    /// list of a debug session, whose reference interpreter replays
+    /// exactly this list.
+    pub fn stimuli(&self) -> &[(u64, String, SignalValue)] {
+        &self.stimuli
     }
 
     /// Checks that some node's board carries `label`, the one thing
@@ -1255,10 +1265,14 @@ struct NodeState {
 ///
 /// Captures everything a bit-exact resume needs: the clock, every node's
 /// data segment, task/kernel counters, in-flight jobs and their pending
-/// emits, undrained UART bytes, CPU anchors, unapplied stimuli and
-/// in-flight network deliveries. Derived state — the event calendar, the
-/// ready index, completion projections and the step-memo cache — is
-/// deliberately absent and rebuilt by [`Simulator::restore_state`].
+/// emits, undrained UART bytes, CPU anchors, the whole stimulus schedule
+/// with its applied-prefix cursor, and in-flight network deliveries.
+/// The applied prefix is kept although the kernel never reads it again:
+/// a restored debug session's reference interpreter replays
+/// [`Simulator::stimuli`] from time zero. Derived state — the event
+/// calendar, the ready index, completion projections and the step-memo
+/// cache — is deliberately absent and rebuilt by
+/// [`Simulator::restore_state`].
 ///
 /// Two things are intentionally **not** state:
 ///
