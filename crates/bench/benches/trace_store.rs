@@ -28,7 +28,7 @@
 //! * `trace_store/replay_from_zero` / `seek_to_time` — time travel to
 //!   the end of a long deterministic run: re-executing the whole
 //!   session from t = 0 versus restoring the nearest persisted
-//!   full-state checkpoint (4096-entry cadence, the
+//!   full-state checkpoint (at `DEFAULT_CHECKPOINT_INTERVAL`, the
 //!   `PersistConfig::checkpoint_interval` default) and replaying only
 //!   the O(interval) tail; comparison row `seek_vs_replay_from_zero`.
 //!
@@ -214,7 +214,7 @@ fn bench_store(c: &mut Criterion) {
 
 /// Checkpoint cadence for the time-travel rows — the durable-session
 /// default (`PersistConfig::checkpoint_interval`).
-const CKPT_INTERVAL: u64 = 4096;
+const CKPT_INTERVAL: u64 = gmdf_server::DEFAULT_CHECKPOINT_INTERVAL;
 
 /// A busy ring session for the time-travel rows: one trace entry every
 /// ~100 µs of target time, so `trace_len()` entries span seconds of

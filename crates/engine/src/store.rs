@@ -53,7 +53,7 @@ use gmdf_gdm::{EventKind, EventValue, ModelEvent, ReactionSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// A trace storage failure (I/O, corrupt metadata…).
@@ -349,8 +349,8 @@ fn truncate_file(path: &Path, len: u64) -> Result<(), StoreError> {
 /// `<file>.tmp`, fsyncs its data, then renames it over `path`. A kill or
 /// power loss at any point leaves either the old file or the whole new
 /// one (without the fsync the rename could land before the data), plus
-/// at worst a `.tmp` leftover; segment and checkpoint stores delete
-/// theirs when they open.
+/// at worst a `.tmp` leftover; segment stores delete theirs when they
+/// open.
 ///
 /// # Errors
 ///
@@ -1588,86 +1588,109 @@ impl TraceStore for SegmentStore {
 // CheckpointStore
 // ---------------------------------------------------------------------------
 
-/// Checkpoint-file magic: the first 4 bytes of every `.ck` file.
+/// The one file of a checkpoint directory: every image, appended in
+/// trace order.
+const CKPT_LOG: &str = "images.log";
+
+/// Image-frame magic: the first 4 bytes of every frame in the log.
 const CKPT_MAGIC: [u8; 4] = *b"GCP1";
 
 /// Codec tag byte after the magic. Only JSON exists today; the tag is
-/// in the file (not a sidecar) so future codecs can coexist in one
-/// directory, exactly like segment stores record theirs in `meta.json`.
+/// in every frame so future codecs can share one log, exactly like
+/// segment stores record theirs in `meta.json`.
 const CKPT_CODEC_JSON: u8 = 0;
 
-/// Index entry for one retained checkpoint file.
+/// Frame header size: magic, codec tag, `u32` payload length, `u64`
+/// seq, `u64` t_ns and a `u32` checksum, all big-endian.
+const CKPT_HEADER: usize = 29;
+
+/// Index entry for one retained checkpoint image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointMeta {
     /// Trace length (next sequence number) at the checkpoint instant.
     pub seq: u64,
     /// Simulation time of the checkpoint instant.
     pub t_ns: u64,
-    /// On-disk size of the checkpoint file.
+    /// Size of the image's frame in the log, header included.
     pub bytes: u64,
 }
 
 /// A directory of full-state checkpoints keyed by `(seq, t_ns)` — the
 /// anchor points O(interval) time travel restores and replays from.
 ///
-/// Layout: one file per checkpoint,
-/// `ckpt-<seq:016>-<t_ns:020>.ck`, holding `GCP1` magic, a codec tag
-/// byte, and one `[u32 len BE][payload]` frame (the same framing as
-/// segments, journals and the wire). The payload is opaque to the
-/// store — the debug server puts a serialized session checkpoint
-/// there.
+/// Layout: one append-only log, `images.log`, created by the first
+/// [`save`](Self::save). Each image is one frame: `GCP1` magic, a codec
+/// tag byte, the payload length (`u32`), `seq` and `t_ns` (`u64` each),
+/// an FNV-1a checksum (`u32`) of the tag, length, `seq`, `t_ns` and
+/// payload, then the payload. Images arrive in trace order, so the log is sorted by
+/// `seq`; an in-memory index of frame offsets makes a load one
+/// positioned read. The payload is opaque to the store — the debug
+/// server puts a serialized session checkpoint there.
 ///
-/// **Crash safety**: writes go to a `.tmp` sibling, fsync, then rename
-/// — a kill at any byte leaves either the previous directory contents
-/// (the `.tmp` is deleted on the next open) or the complete new file.
-/// Opening validates every file's magic, tag and frame length and
-/// deletes damaged ones, so a seek never anchors on a torn checkpoint:
-/// it falls back to the previous one (or to replay from zero).
+/// **Crash safety**: a save appends its frame with one write and then
+/// `sync_data`s the file, so a kill at any byte leaves the previous
+/// images whole plus at most a torn frame at the tail. Opening reads
+/// the log once and keeps the longest run of whole frames (magic, tag,
+/// length and checksum intact, `seq` never below its predecessor's); it
+/// truncates the file behind them, so the next image appends behind the
+/// last whole one, and reports the cut
+/// ([`truncated_bytes`](Self::truncated_bytes)). A seek therefore never
+/// anchors on a torn or damaged image: it falls back to an older one
+/// (or to replay from zero) — slower, never wrong.
 #[derive(Debug)]
 pub struct CheckpointStore {
-    dir: PathBuf,
+    path: PathBuf,
+    /// The log, open for appending; `None` until it exists.
+    file: Option<File>,
     /// Ascending by `seq` (and by `t_ns` — simulation time and trace
     /// length grow together).
     metas: Vec<CheckpointMeta>,
+    /// Byte offset of each indexed frame, parallel to `metas`.
+    offsets: Vec<u64>,
+    /// Length of the log's whole frames: where the next one goes.
+    end: u64,
+    /// Bytes cut from the log's tail at open.
+    truncated: u64,
 }
 
 impl CheckpointStore {
-    /// Opens (or creates) the checkpoint directory, deleting stale
-    /// `.tmp` leftovers and damaged files on the way.
+    /// Opens (or creates) the checkpoint directory and indexes its log,
+    /// truncating the log behind its last whole frame.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        let mut metas = Vec::new();
-        for entry in std::fs::read_dir(&dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.ends_with(".tmp") {
-                std::fs::remove_file(entry.path())?;
-                continue;
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)?;
+        let mut store = CheckpointStore {
+            path: dir.join(CKPT_LOG),
+            file: None,
+            metas: Vec::new(),
+            offsets: Vec::new(),
+            end: 0,
+            truncated: 0,
+        };
+        let bytes = match std::fs::read(&store.path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(store),
+            Err(e) => return Err(e.into()),
+        };
+        while let Some((meta, _)) = decode_image(&bytes[store.end as usize..]) {
+            if store.latest().is_some_and(|last| meta.seq < last.seq) {
+                break;
             }
-            let Some((seq, t_ns)) = parse_checkpoint_name(name) else {
-                continue;
-            };
-            let bytes = std::fs::read(entry.path())?;
-            if validate_checkpoint(&bytes).is_none() {
-                // A torn or corrupt checkpoint must never anchor a
-                // seek — remove it so the index only holds usable ones.
-                std::fs::remove_file(entry.path())?;
-                continue;
-            }
-            metas.push(CheckpointMeta {
-                seq,
-                t_ns,
-                bytes: bytes.len() as u64,
-            });
+            store.offsets.push(store.end);
+            store.end += meta.bytes;
+            store.metas.push(meta);
         }
-        metas.sort_by_key(|m| (m.seq, m.t_ns));
-        Ok(CheckpointStore { dir, metas })
+        let file = OpenOptions::new().append(true).open(&store.path)?;
+        store.truncated = bytes.len() as u64 - store.end;
+        if store.truncated > 0 {
+            file.set_len(store.end)?;
+        }
+        store.file = Some(file);
+        Ok(store)
     }
 
     /// Retained checkpoints, ascending by sequence.
@@ -1696,78 +1719,133 @@ impl CheckpointStore {
         self.metas.last().copied()
     }
 
-    fn path_for(&self, seq: u64, t_ns: u64) -> PathBuf {
-        self.dir.join(format!("ckpt-{seq:016}-{t_ns:020}.ck"))
+    /// Bytes [`open`](Self::open) cut from the log's tail: a torn or
+    /// damaged frame and everything behind it. `0` when the log was
+    /// whole (or absent).
+    pub fn truncated_bytes(&self) -> u64 {
+        self.truncated
     }
 
-    /// Persists one checkpoint payload under `(seq, t_ns)` crash-safely
-    /// ([`write_atomic`]). Returns the file size written.
+    /// Appends one checkpoint payload under `(seq, t_ns)` as one frame
+    /// and syncs it before indexing it. Returns the frame size written.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures and rejects payloads over the `u32`
-    /// frame limit.
+    /// Propagates I/O failures (the log is cut back to its last whole
+    /// frame), rejects payloads over the `u32` frame limit, and rejects
+    /// a `seq` below the newest image's.
     pub fn save(&mut self, seq: u64, t_ns: u64, payload: &[u8]) -> Result<u64, StoreError> {
-        let mut image = Vec::with_capacity(9 + payload.len());
-        image.extend_from_slice(&CKPT_MAGIC);
-        image.push(CKPT_CODEC_JSON);
-        image.extend_from_slice(&frame_len(payload.len())?);
-        image.extend_from_slice(payload);
-        write_atomic(&self.path_for(seq, t_ns), &image)?;
-        match self
+        if let Some(last) = self.latest().filter(|last| seq < last.seq) {
+            return Err(StoreError::new(format!(
+                "checkpoint at seq {seq} is older than the newest one (seq {})",
+                last.seq
+            )));
+        }
+        let frame = encode_image(seq, t_ns, payload)?;
+        let file = match &mut self.file {
+            Some(file) => file,
+            None => self.file.insert(
+                OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&self.path)?,
+            ),
+        };
+        if let Err(e) = file.write_all(&frame).and_then(|()| file.sync_data()) {
+            // Drop a partial frame, so the index's offsets stay true.
+            let _ = file.set_len(self.end);
+            return Err(e.into());
+        }
+        let bytes = frame.len() as u64;
+        self.offsets.push(self.end);
+        self.end += bytes;
+        self.metas.push(CheckpointMeta { seq, t_ns, bytes });
+        Ok(bytes)
+    }
+
+    /// Loads and validates the checkpoint at `(meta.seq, meta.t_ns)`
+    /// with one positioned read of its frame, returning its payload
+    /// bytes.
+    ///
+    /// # Errors
+    ///
+    /// An image the index does not hold, I/O failures, and validation
+    /// failures (bad magic, unknown codec tag, torn frame, checksum
+    /// mismatch) — callers fall back to an older checkpoint.
+    pub fn load(&self, meta: &CheckpointMeta) -> Result<Vec<u8>, StoreError> {
+        let index = self
             .metas
             .iter()
-            .position(|m| m.seq == seq && m.t_ns == t_ns)
-        {
-            Some(i) => self.metas[i].bytes = image.len() as u64,
-            None => {
-                self.metas.push(CheckpointMeta {
-                    seq,
-                    t_ns,
-                    bytes: image.len() as u64,
-                });
-                self.metas.sort_by_key(|m| (m.seq, m.t_ns));
-            }
-        }
-        Ok(image.len() as u64)
-    }
-
-    /// Loads and validates the checkpoint at `(meta.seq, meta.t_ns)`,
-    /// returning its payload bytes.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, and validation failures (bad magic, unknown codec
-    /// tag, torn frame) — callers fall back to an older checkpoint.
-    pub fn load(&self, meta: &CheckpointMeta) -> Result<Vec<u8>, StoreError> {
-        let bytes = std::fs::read(self.path_for(meta.seq, meta.t_ns))?;
-        validate_checkpoint(&bytes)
-            .map(<[u8]>::to_vec)
+            .rposition(|m| m.seq == meta.seq && m.t_ns == meta.t_ns)
             .ok_or_else(|| {
                 StoreError::new(format!(
-                    "checkpoint at seq {} (t={} ns) is damaged",
+                    "no checkpoint at seq {} (t={} ns)",
                     meta.seq, meta.t_ns
                 ))
-            })
+            })?;
+        let indexed = self.metas[index];
+        let mut frame = vec![0; indexed.bytes as usize];
+        let mut file = File::open(&self.path)?;
+        file.seek(SeekFrom::Start(self.offsets[index]))?;
+        file.read_exact(&mut frame)?;
+        match decode_image(&frame) {
+            Some((found, _)) if found == indexed => {
+                frame.drain(..CKPT_HEADER);
+                Ok(frame)
+            }
+            _ => Err(StoreError::new(format!(
+                "checkpoint at seq {} (t={} ns) is damaged",
+                meta.seq, meta.t_ns
+            ))),
+        }
     }
 }
 
-/// Parses `ckpt-<seq:016>-<t_ns:020>.ck` back into `(seq, t_ns)`.
-fn parse_checkpoint_name(name: &str) -> Option<(u64, u64)> {
-    let stem = name.strip_prefix("ckpt-")?.strip_suffix(".ck")?;
-    let (seq, t_ns) = stem.split_once('-')?;
-    Some((seq.parse().ok()?, t_ns.parse().ok()?))
+/// Frames one image: header (see [`CheckpointStore`]) then payload.
+fn encode_image(seq: u64, t_ns: u64, payload: &[u8]) -> Result<Vec<u8>, StoreError> {
+    let mut frame = Vec::with_capacity(CKPT_HEADER + payload.len());
+    frame.extend_from_slice(&CKPT_MAGIC);
+    frame.push(CKPT_CODEC_JSON);
+    frame.extend_from_slice(&frame_len(payload.len())?);
+    frame.extend_from_slice(&seq.to_be_bytes());
+    frame.extend_from_slice(&t_ns.to_be_bytes());
+    let sum = fnv1a(&[&frame[4..], payload]);
+    frame.extend_from_slice(&sum.to_be_bytes());
+    frame.extend_from_slice(payload);
+    Ok(frame)
 }
 
-/// Checks a checkpoint file image (magic, codec tag, exact frame
-/// length) and returns the payload slice when whole.
-fn validate_checkpoint(bytes: &[u8]) -> Option<&[u8]> {
-    if bytes.len() < 9 || bytes[..4] != CKPT_MAGIC || bytes[4] != CKPT_CODEC_JSON {
+/// The whole image frame at the front of `bytes`: its index entry and
+/// payload, or `None` when the frame is torn or damaged.
+fn decode_image(bytes: &[u8]) -> Option<(CheckpointMeta, &[u8])> {
+    let header = bytes.get(..CKPT_HEADER)?;
+    if header[..4] != CKPT_MAGIC || header[4] != CKPT_CODEC_JSON {
         return None;
     }
-    let len = u32::from_be_bytes(bytes[5..9].try_into().ok()?) as usize;
-    let payload = &bytes[9..];
-    (payload.len() == len).then_some(payload)
+    let be32 = |at: usize| u32::from_be_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+    let be64 = |at: usize| u64::from_be_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+    let len = be32(5) as usize;
+    let payload = bytes[CKPT_HEADER..].get(..len)?;
+    if fnv1a(&[&header[4..25], payload]) != be32(25) {
+        return None;
+    }
+    let meta = CheckpointMeta {
+        seq: be64(9),
+        t_ns: be64(17),
+        bytes: (CKPT_HEADER + len) as u64,
+    };
+    Some((meta, payload))
+}
+
+/// 32-bit FNV-1a over `parts` in order: it changes with any one
+/// damaged byte, which is all a frame check needs.
+fn fnv1a(parts: &[&[u8]]) -> u32 {
+    parts
+        .iter()
+        .flat_map(|part| part.iter())
+        .fold(0x811c_9dc5, |hash, &byte| {
+            (hash ^ u32::from(byte)).wrapping_mul(0x0100_0193)
+        })
 }
 
 #[cfg(test)]
@@ -2416,7 +2494,7 @@ mod tests {
         for (seq, t) in [(10u64, 1000u64), (20, 2000), (30, 3000)] {
             let payload = format!("{{\"seq\":{seq}}}");
             let written = c.save(seq, t, payload.as_bytes()).unwrap();
-            assert_eq!(written, 9 + payload.len() as u64);
+            assert_eq!(written, 29 + payload.len() as u64);
         }
         assert_eq!(c.oldest_seq(), Some(10));
         assert_eq!(c.latest().unwrap().seq, 30);
@@ -2428,34 +2506,77 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// However old a store gets, its directory holds one file, the
+    /// image log, which the first image creates.
+    #[test]
+    fn checkpoint_store_keeps_one_file() {
+        let dir = tmp_dir("ckpt-one-file");
+        let files = || -> Vec<_> {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect()
+        };
+        let mut c = CheckpointStore::open(&dir).unwrap();
+        assert!(files().is_empty(), "no image, no file");
+        for seq in 0..20u64 {
+            c.save(seq, 10 * seq, b"image").unwrap();
+        }
+        assert_eq!(files(), [CKPT_LOG]);
+        assert_eq!(CheckpointStore::open(&dir).unwrap().metas(), c.metas());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A kill at any byte of the newest image's append, or one damaged
+    /// header byte, costs exactly that image: reopening keeps the whole
+    /// frames before it, truncates the log to them, loads each
+    /// byte-equal, and appends the next image behind them.
     #[test]
     fn torn_checkpoint_falls_back_to_previous() {
         let dir = tmp_dir("ckpt-torn");
+        let log = dir.join(CKPT_LOG);
+        let payloads: [&[u8]; 3] = [b"good-old", b"good-mid", b"good-new"];
         {
             let mut c = CheckpointStore::open(&dir).unwrap();
-            c.save(10, 1000, b"good-old").unwrap();
-            c.save(20, 2000, b"good-new").unwrap();
+            for (i, payload) in (1u64..).zip(payloads) {
+                c.save(10 * i, 1000 * i, payload).unwrap();
+            }
         }
-        let newest = dir.join(format!("ckpt-{:016}-{:020}.ck", 20u64, 2000u64));
-        let image = std::fs::read(&newest).unwrap();
-        // A kill at *any* byte during the write sequence leaves either
-        // a partial .tmp (ignored and deleted) or a complete renamed
-        // file — simulate both damage shapes and the fallback.
-        for cut in 0..image.len() {
-            std::fs::write(dir.join("ckpt-next.ck.tmp"), &image[..cut]).unwrap();
-            let c = CheckpointStore::open(&dir).unwrap();
-            assert_eq!(c.len(), 2, "tmp leftovers never enter the index");
-            assert!(!dir.join("ckpt-next.ck.tmp").exists(), "tmp deleted");
+        let intact = std::fs::read(&log).unwrap();
+        let newest = CheckpointStore::open(&dir).unwrap().latest().unwrap();
+        let start = intact.len() - newest.bytes as usize;
+        let on_disk = || std::fs::read(&log).unwrap();
+        let check = |damaged: &[u8], what: &str| {
+            std::fs::write(&log, damaged).unwrap();
+            let mut c = CheckpointStore::open(&dir).unwrap();
+            let seqs: Vec<u64> = c.metas().iter().map(|m| m.seq).collect();
+            assert_eq!(seqs, [10, 20], "{what}: the whole frames before it");
+            let cut = (damaged.len() - start) as u64;
+            assert_eq!(c.truncated_bytes(), cut, "{what}");
+            assert_eq!(on_disk(), intact[..start], "{what}: truncated");
+            for (meta, payload) in c.metas().iter().zip(payloads) {
+                assert_eq!(c.load(meta).unwrap(), payload, "{what}: kept image");
+            }
+            c.save(newest.seq, newest.t_ns, payloads[2]).unwrap();
+            assert_eq!(on_disk(), intact, "{what}: appended behind");
+        };
+        for cut in start..intact.len() {
+            check(&intact[..cut], &format!("cut at byte {cut}"));
         }
-        // Paranoia: even a torn *renamed* file (not producible by the
-        // tmp+fsync+rename sequence, but disks lie) is dropped, and the
-        // previous checkpoint anchors the seek.
-        std::fs::write(&newest, &image[..image.len() - 3]).unwrap();
-        let c = CheckpointStore::open(&dir).unwrap();
-        assert_eq!(c.len(), 1);
-        let meta = c.latest().unwrap();
-        assert_eq!(meta.seq, 10);
-        assert_eq!(c.load(&meta).unwrap(), b"good-old");
+        for at in start..start + CKPT_HEADER {
+            let mut flipped = intact.clone();
+            flipped[at] ^= 0xff;
+            check(&flipped, &format!("header byte {at} flipped"));
+        }
+        // A frame whose seq runs backwards ends the log as well, and
+        // `save` refuses to write one.
+        let mut stale = intact.clone();
+        stale.extend(encode_image(5, 500, b"stale").unwrap());
+        std::fs::write(&log, &stale).unwrap();
+        let mut c = CheckpointStore::open(&dir).unwrap();
+        assert_eq!(c.len(), 3);
+        assert_eq!(on_disk(), intact);
+        assert!(c.save(5, 500, b"stale").is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -172,9 +172,14 @@ pub struct MetricsRegistry {
     /// Checkpoint images loaded back by time-travel seeks and by
     /// restarts (one per durable session restored from an image).
     pub checkpoint_restores: Counter,
-    /// Wall nanoseconds per checkpoint write (serialize + fsync +
-    /// rename) — the periodic cost a durable session pays for
-    /// O(interval) seeks.
+    /// Checkpoint images passed over as unusable: one per image log a
+    /// restart found cut (torn or damaged frames dropped at open), and
+    /// one per image a seek or restart skipped because it would not
+    /// load or parse, or lay past the journal's end.
+    pub checkpoint_skips: Counter,
+    /// Wall nanoseconds per checkpoint write (one frame appended to the
+    /// session's image log, then `sync_data`) — the periodic cost a
+    /// durable session pays for O(interval) seeks.
     pub checkpoint_write_ns: Histogram,
     /// Wall nanoseconds per checkpoint load during a seek or a restart
     /// (read + parse), excluding the replay that follows.
@@ -211,6 +216,7 @@ impl MetricsRegistry {
             checkpoint_writes: Counter::new(),
             checkpoint_bytes: Counter::new(),
             checkpoint_restores: Counter::new(),
+            checkpoint_skips: Counter::new(),
             checkpoint_write_ns: Histogram::new(),
             checkpoint_restore_ns: Histogram::new(),
             wire: WireMetrics::default(),
@@ -411,7 +417,10 @@ pub struct FleetMetrics {
     pub checkpoint_bytes: u64,
     /// Checkpoint images loaded back by time-travel seeks and restarts.
     pub checkpoint_restores: u64,
-    /// Checkpoint write latency (serialize + fsync + rename).
+    /// Checkpoint images passed over as unusable (see
+    /// [`MetricsRegistry::checkpoint_skips`]).
+    pub checkpoint_skips: u64,
+    /// Checkpoint write latency (append + `sync_data`).
     pub checkpoint_write_ns: HistogramSnapshot,
     /// Checkpoint load latency during seeks and restarts (read +
     /// parse).
@@ -506,6 +515,7 @@ impl MetricsSnapshot {
         counter("gmdf_checkpoint_writes_total", f.checkpoint_writes);
         counter("gmdf_checkpoint_bytes", f.checkpoint_bytes);
         counter("gmdf_checkpoint_restores_total", f.checkpoint_restores);
+        counter("gmdf_checkpoint_skips_total", f.checkpoint_skips);
         counter("gmdf_wire_frames_tx_total", f.wire_frames_tx);
         counter("gmdf_wire_frames_rx_total", f.wire_frames_rx);
         counter("gmdf_wire_bytes_tx_total", f.wire_bytes_tx);
@@ -654,6 +664,7 @@ pub(crate) fn fleet_skeleton(registry: &MetricsRegistry) -> FleetMetrics {
         checkpoint_writes: registry.checkpoint_writes.get(),
         checkpoint_bytes: registry.checkpoint_bytes.get(),
         checkpoint_restores: registry.checkpoint_restores.get(),
+        checkpoint_skips: registry.checkpoint_skips.get(),
         checkpoint_write_ns: registry.checkpoint_write_ns.snapshot(),
         checkpoint_restore_ns: registry.checkpoint_restore_ns.snapshot(),
         wire_connections: wire_conns.len() as u64,

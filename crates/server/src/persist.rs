@@ -14,8 +14,10 @@
 //!     meta.json
 //!     seg-*.log    hot segments (JSON or binary records, per meta)
 //!     seg-*.lgz    cold segments, compressed by the retention sweep
-//!   checkpoints/   periodic full-state images (ckpt-<seq>-<t_ns>.ck),
-//!                  each with the journal position it was taken at
+//!   checkpoints/
+//!     images.log   periodic full-state images, one appended frame
+//!                  each, with the journal position it was taken at
+//!                  (created by the first image)
 //! ```
 //!
 //! Restore leans entirely on determinism: the simulator, the code
@@ -35,7 +37,8 @@
 //! exact target time it originally took effect, with the simulator
 //! pumped up to that instant in between. With no usable image the same
 //! code replays from time zero. A seek takes the spec and the records
-//! from the [`Durable`] value; the only file it reads is the image.
+//! from the [`Durable`] value; the only file it reads is one image
+//! frame.
 //!
 //! [`restore_session`] restarts from the newest image the recovered
 //! trace store covers, so a restart costs one checkpoint interval of
@@ -296,12 +299,12 @@ pub(crate) fn replay(
 /// The newest checkpoint image in `store` that both restart and seek
 /// can restore from: its meta satisfies the caller's `accept`, it loads
 /// and parses, and its journal position lies within the `journal_len`
-/// valid journal records. An image that fails any of these is skipped
-/// for the next older one — a damaged file, or one taken after journal
-/// records that did not survive (replaying from it would silently miss
-/// their commands). `None` means replay from time zero: strictly
-/// slower, never wrong. A hit counts one checkpoint restore, timed
-/// over its load and parse.
+/// valid journal records. An accepted image that fails either check is
+/// skipped for the next older one, and counted as a checkpoint skip —
+/// a damaged image, or one taken after journal records that did not
+/// survive (replaying from it would silently miss their commands).
+/// `None` means replay from time zero: strictly slower, never wrong. A
+/// hit counts one checkpoint restore, timed over its load and parse.
 pub(crate) fn newest_image(
     store: &CheckpointStore,
     journal_len: usize,
@@ -310,18 +313,18 @@ pub(crate) fn newest_image(
 ) -> Option<(CheckpointMeta, ServerCheckpoint)> {
     for meta in store.metas().iter().rev().filter(|m| accept(m)) {
         let t0 = registry.enabled().then(Instant::now);
-        let Ok(payload) = store.load(meta) else {
+        let usable = store
+            .load(meta)
+            .ok()
+            .and_then(|payload| String::from_utf8(payload).ok())
+            .and_then(|text| serde_json::from_str::<ServerCheckpoint>(&text).ok())
+            .filter(|image| image.journal_pos <= journal_len as u64);
+        let Some(image) = usable else {
+            if registry.enabled() {
+                registry.checkpoint_skips.inc();
+            }
             continue;
         };
-        let Ok(text) = String::from_utf8(payload) else {
-            continue;
-        };
-        let Ok(image) = serde_json::from_str::<ServerCheckpoint>(&text) else {
-            continue;
-        };
-        if image.journal_pos > journal_len as u64 {
-            continue;
-        }
         if let Some(t0) = t0 {
             registry.checkpoint_restores.inc();
             registry
@@ -425,8 +428,15 @@ pub(crate) fn restore_session(
 
     // A checkpoint store that fails to open degrades the session to
     // checkpoint-less rather than quarantining it — checkpoints are
-    // derived state, the journal is the truth.
+    // derived state, the journal is the truth. An image log cut at
+    // open lost its damaged tail: one skip.
     let checkpoints = CheckpointStore::open(dir.join("checkpoints")).ok();
+    let cut = checkpoints
+        .as_ref()
+        .is_some_and(|cs| cs.truncated_bytes() > 0);
+    if cut && registry.enabled() {
+        registry.checkpoint_skips.inc();
+    }
     let stored = store.len();
     let records = journal.records();
     let image = checkpoints
@@ -512,7 +522,7 @@ mod tests {
     /// An image whose journal position lies past the valid journal (a
     /// `journal.log` cut at a record boundary lost the commands it
     /// covers) is skipped like a damaged one: the picker returns the
-    /// next older image, and counts only that restore.
+    /// next older image, and counts that restore and one skip.
     #[test]
     fn picker_skips_an_image_past_the_journal_end() {
         let mut session = spec_of(blinker_system("picker", 0.0005, 500_000))
@@ -543,6 +553,7 @@ mod tests {
         assert_eq!(meta, store.metas()[0]);
         assert_eq!(image.journal_pos, 1);
         assert_eq!(registry.checkpoint_restores.get(), 1);
+        assert_eq!(registry.checkpoint_skips.get(), 1, "the skip is counted");
         // One more surviving record and the newest image serves again.
         let (meta, _) =
             newest_image(&store, records + 1, &registry, |_| true).expect("the newest image");

@@ -13,7 +13,7 @@
 mod common;
 
 use common::{blinker_system, ring_system, spec_of, tmp_root};
-use gmdf_engine::{Retention, SegmentStore, TraceEntry};
+use gmdf_engine::{CheckpointStore, Retention, SegmentStore, TraceEntry};
 use gmdf_gdm::{CommandMatcher, EventKind};
 use gmdf_server::{
     DebugServer, EngineEvent, EventReceiver, PersistConfig, ServerConfig, ServerError,
@@ -80,18 +80,15 @@ fn checkpoint_dir(root: &Path, id: u64) -> PathBuf {
         .join("checkpoints")
 }
 
-/// Trace positions of the checkpoint images on disk, ascending.
+/// Trace positions of the checkpoint images on disk, ascending, as the
+/// store's index lists them.
 fn checkpoint_seqs(root: &Path, id: u64) -> Vec<u64> {
-    let mut seqs: Vec<u64> = std::fs::read_dir(checkpoint_dir(root, id))
-        .expect("checkpoint dir exists")
-        .filter_map(|e| {
-            let name = e.ok()?.file_name().into_string().ok()?;
-            let stem = name.strip_prefix("ckpt-")?.strip_suffix(".ck")?;
-            stem.split('-').next()?.parse().ok()
-        })
-        .collect();
-    seqs.sort_unstable();
-    seqs
+    CheckpointStore::open(checkpoint_dir(root, id))
+        .expect("checkpoint dir opens")
+        .metas()
+        .iter()
+        .map(|m| m.seq)
+        .collect()
 }
 
 /// A history shaped like the time-travel suite's: a stimulus, a

@@ -14,7 +14,7 @@ mod common;
 
 use common::{ring_system, spec_of, tmp_root};
 use gmdf_comdes::SignalValue;
-use gmdf_engine::{ExecutionTrace, Retention};
+use gmdf_engine::{CheckpointMeta, CheckpointStore, ExecutionTrace, Retention};
 use gmdf_gdm::{CommandMatcher, EventKind};
 use gmdf_server::{
     DebugServer, PersistConfig, ServerConfig, SessionHandle, WireClient, WireServer,
@@ -80,25 +80,13 @@ fn checkpoint_dir(root: &std::path::Path, id: u64) -> PathBuf {
         .join("checkpoints")
 }
 
-/// Lists `(seq, path)` of the `.ck` files on disk, ascending by seq.
-fn checkpoint_files(dir: &std::path::Path) -> Vec<(u64, PathBuf)> {
-    let mut out: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)
-        .expect("checkpoint dir exists")
-        .filter_map(|e| {
-            let e = e.ok()?;
-            let name = e.file_name().into_string().ok()?;
-            let seq: u64 = name
-                .strip_prefix("ckpt-")?
-                .strip_suffix(".ck")?
-                .split('-')
-                .next()?
-                .parse()
-                .ok()?;
-            Some((seq, e.path()))
-        })
-        .collect();
-    out.sort();
-    out
+/// The checkpoint images on disk, ascending by seq, as the store's
+/// index lists them.
+fn checkpoint_files(dir: &std::path::Path) -> Vec<CheckpointMeta> {
+    CheckpointStore::open(dir)
+        .expect("checkpoint dir opens")
+        .metas()
+        .to_vec()
 }
 
 /// A seek to the live instant is served from a checkpoint (restoring
@@ -296,11 +284,11 @@ fn replay_window_matches_fetch_range_in_process_and_over_the_wire() {
     drop(server);
 }
 
-/// The crash story: a checkpoint file cut at an **arbitrary byte** (a
-/// kill mid-write, disk damage…) is discarded on the next open and the
-/// seek falls back to an older image — or all the way to a from-zero
-/// replay — still producing the byte-identical trace. Stale `.tmp`
-/// spool files are swept too.
+/// The crash story: the image log's newest frame cut at an **arbitrary
+/// byte** (a kill mid-write, disk damage…) is cut from the log on the
+/// next open, counted as one checkpoint skip, and the seek falls back
+/// to an older image — or all the way to a from-zero replay — still
+/// producing the byte-identical trace.
 #[test]
 fn torn_checkpoint_falls_back_to_an_older_image() {
     let root = tmp_root("torn");
@@ -321,23 +309,28 @@ fn torn_checkpoint_falls_back_to_an_older_image() {
     let dir = checkpoint_dir(&root, id);
     let files = checkpoint_files(&dir);
     assert!(files.len() >= 2, "need a fallback image: {files:?}");
-    let (newest_seq, newest_path) = files.last().expect("newest").clone();
-    let intact = std::fs::read(&newest_path).expect("read newest");
+    let newest = *files.last().expect("newest");
+    let log_path = dir.join("images.log");
+    let log = std::fs::read(&log_path).expect("read the image log");
+    let start = log.len() - newest.bytes as usize;
+    let intact = &log[start..];
 
     for cut in [3usize, intact.len() / 3, intact.len() - 1] {
-        // Tear the newest checkpoint at `cut` bytes, and leave a stale
-        // spool file behind as an interrupted write would.
-        std::fs::write(&newest_path, &intact[..cut]).expect("tear");
-        let stale = newest_path.with_extension("ck.tmp");
-        std::fs::write(&stale, b"half-written").expect("spool");
+        // Tear the newest image's frame at `cut` bytes.
+        std::fs::write(&log_path, &log[..start + cut]).expect("tear");
 
         let server = DebugServer::start_persistent(server_config(), persist()).expect("restart");
+        assert_eq!(
+            server.metrics_snapshot().fleet.checkpoint_skips,
+            1,
+            "the cut counts one skip (cut at {cut} bytes)"
+        );
         let handle = server.handle(id).expect("restored");
         handle.wait_idle(WAIT).expect("catch-up");
         let report = handle.seek_to(now, true, WAIT).expect("seek");
         assert_ne!(
             report.checkpoint_seq,
-            Some(newest_seq),
+            Some(newest.seq),
             "the torn image must not serve the seek (cut at {cut} bytes)"
         );
         assert_eq!(
@@ -346,11 +339,15 @@ fn torn_checkpoint_falls_back_to_an_older_image() {
             "fallback must still be byte-identical (cut at {cut} bytes)"
         );
         drop(server);
-        assert!(
-            !newest_path.exists(),
-            "the damaged file must be swept on open"
+        assert_eq!(
+            std::fs::read(&log_path).expect("read the image log")[..start],
+            log[..start],
+            "the whole frames before the cut are kept (cut at {cut} bytes)"
         );
-        assert!(!stale.exists(), "stale .tmp spool must be swept on open");
+        assert!(
+            !checkpoint_files(&dir).contains(&newest),
+            "the damaged frame must be cut on open (cut at {cut} bytes)"
+        );
     }
 }
 
@@ -405,7 +402,7 @@ fn eviction_never_outruns_the_oldest_checkpoint() {
     let oldest_ck = checkpoint_files(&checkpoint_dir(&root, handle.id()))
         .first()
         .expect("checkpoints written")
-        .0;
+        .seq;
     let floor = handle.replay_from(0, 7, WAIT).expect("page").first_seq;
     assert!(floor > 0, "eviction should have moved the replay floor");
     assert!(

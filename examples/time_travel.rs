@@ -27,6 +27,7 @@ use gmdf_comdes::{
     ActorBuilder, Expr, FsmBuilder, NetworkBuilder, NodeSpec, Port, System, Timing,
     VAR_TIME_IN_STATE,
 };
+use gmdf_engine::CheckpointStore;
 use gmdf_server::{DebugServer, PersistConfig, ServerConfig, SessionId};
 use gmdf_target::SimConfig;
 use std::time::Duration;
@@ -121,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .join("sessions")
         .join(format!("{id:016}"))
         .join("checkpoints");
-    let images = std::fs::read_dir(&ckpt_dir)?.count();
+    let images = CheckpointStore::open(&ckpt_dir)?.len();
     println!(
         "[disk]   {images} checkpoint image(s) under {}",
         ckpt_dir.display()
