@@ -173,13 +173,6 @@ impl DebuggerEngine {
         self.trace.maintain()
     }
 
-    /// Pins the trace store's retention floor (entries with
-    /// `seq >= floor` may no longer be evicted) — see
-    /// [`crate::store::TraceStore::set_retain_floor`].
-    pub fn set_trace_retain_floor(&mut self, floor: u64) {
-        self.trace.set_retain_floor(floor);
-    }
-
     /// Violations recorded so far — the found bugs.
     pub fn violations(&self) -> &[Violation] {
         &self.violations

@@ -182,7 +182,9 @@ pub trait TraceStore: Send + fmt::Debug {
     }
 
     /// Runs one bounded unit of background maintenance (compress at
-    /// most one sealed segment, then enforce the retention budget).
+    /// most one sealed segment, then evict oldest sealed segments while
+    /// the store is over its disk budget). An evicted entry is gone from
+    /// the store: [`TraceStore::first_retained_seq`] rises past it.
     /// Owners call this off the append hot path — the debug server's
     /// compactor thread does — and repeat while it reports progress.
     /// The default (memory stores, stores without retention) is a no-op.
@@ -193,20 +195,6 @@ pub trait TraceStore: Send + fmt::Debug {
     fn maintain(&mut self) -> Result<MaintenanceReport, StoreError> {
         Ok(MaintenanceReport::default())
     }
-
-    /// Forbids retention from evicting any entry with `seq >= floor`.
-    ///
-    /// Time travel anchors on checkpoints: a seek restores the nearest
-    /// checkpoint at or before the target and replays forward, and the
-    /// full-trace view stitches the persisted prefix below the restore
-    /// point onto the regenerated tail. Evicting a segment newer than
-    /// the **oldest retained checkpoint** would tear a hole in every
-    /// such stitch, so the checkpoint owner pins the floor here after
-    /// each checkpoint write. `u64::MAX` (the initial value) disables
-    /// the clamp — a store without checkpoints retains the original
-    /// budget-only behavior. The default implementation (memory stores,
-    /// stores without retention) ignores the floor: they never evict.
-    fn set_retain_floor(&mut self, _floor: u64) {}
 }
 
 /// What [`TraceStore::maintain`] accomplished in one call.
@@ -233,7 +221,9 @@ impl MaintenanceReport {
 /// Retention policy for a [`SegmentStore`]: when sealed segments move
 /// to the compressed cold tier, and how much disk the store may hold.
 /// The default keeps everything uncompressed forever (the pre-retention
-/// behavior).
+/// behavior). An evicted entry can no longer be read from the store;
+/// an owner that keeps checkpoint images (the debug server's durable
+/// sessions) regenerates evicted history by replay instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Retention {
     /// Compress sealed segments older than this many newest sealed
@@ -242,7 +232,10 @@ pub struct Retention {
     pub compress_after: Option<usize>,
     /// Evict oldest sealed segments while the store's on-disk footprint
     /// exceeds this many bytes. `None` disables eviction. The active
-    /// tail is never evicted.
+    /// tail counts toward the budget but is never evicted, so the
+    /// footprint exceeds the budget only by what was appended since the
+    /// last [`TraceStore::maintain`] (or by a tail larger than the
+    /// budget). Nothing else holds a sealed segment back.
     pub max_disk_bytes: Option<u64>,
 }
 
@@ -1068,10 +1061,6 @@ pub struct SegmentStore {
     tail_bytes: u64,
     /// Writer on the active segment file; opened lazily.
     writer: Option<BufWriter<File>>,
-    /// Eviction clamp (see [`TraceStore::set_retain_floor`]): entries
-    /// with `seq >= retain_floor` must stay readable. `u64::MAX` = no
-    /// clamp.
-    retain_floor: u64,
 }
 
 impl SegmentStore {
@@ -1147,7 +1136,6 @@ impl SegmentStore {
             tail_first: 0,
             tail_bytes: 0,
             writer: None,
-            retain_floor: u64::MAX,
         };
         store.recover()?;
         Ok(store)
@@ -1553,16 +1541,7 @@ impl TraceStore for SegmentStore {
             }
         }
         if let Some(budget) = self.retention.max_disk_bytes {
-            // The clamp wins over the budget: a segment holding any
-            // entry at or past the retain floor (the oldest retained
-            // checkpoint's trace position) is never evicted, even if
-            // the store stays over budget as a result.
-            while self.disk_bytes() > budget
-                && self
-                    .sealed
-                    .first()
-                    .is_some_and(|m| m.last_seq < self.retain_floor)
-            {
+            while self.disk_bytes() > budget && !self.sealed.is_empty() {
                 let meta = self.sealed.remove(0);
                 let idx = self.segment_index(meta.first_seq);
                 let path = if meta.compressed {
@@ -1577,10 +1556,6 @@ impl TraceStore for SegmentStore {
             }
         }
         Ok(report)
-    }
-
-    fn set_retain_floor(&mut self, floor: u64) {
-        self.retain_floor = floor;
     }
 }
 
@@ -1706,12 +1681,6 @@ impl CheckpointStore {
     /// `true` when no checkpoint is retained.
     pub fn is_empty(&self) -> bool {
         self.metas.is_empty()
-    }
-
-    /// Trace position of the oldest retained checkpoint — what the
-    /// trace store's retain floor is pinned to.
-    pub fn oldest_seq(&self) -> Option<u64> {
-        self.metas.first().map(|m| m.seq)
     }
 
     /// The newest retained checkpoint.
@@ -2423,43 +2392,6 @@ mod tests {
     }
 
     #[test]
-    fn retain_floor_clamps_eviction() {
-        let dir = tmp_dir("floor");
-        let config = SegmentConfig {
-            capacity: 4,
-            codec: Codec::Json,
-            retention: Retention {
-                compress_after: Some(0),
-                max_disk_bytes: Some(600),
-            },
-        };
-        let mut s = SegmentStore::open_with(&dir, config).unwrap();
-        for i in 0..26 {
-            s.append(entry(i, 10 * i)).unwrap();
-        }
-        s.sync().unwrap();
-        // An "oldest checkpoint" at seq 4: segment 1 (seqs 4..8) and
-        // everything after it must survive, however tight the budget.
-        s.set_retain_floor(4);
-        while s.maintain().unwrap().did_work() {}
-        assert_eq!(
-            s.first_retained_seq(),
-            4,
-            "only the pre-floor segment was evictable"
-        );
-        let mut out = Vec::new();
-        s.read_into(0, u64::MAX, &mut out).unwrap();
-        assert_eq!(out.first().unwrap().seq, 4);
-        assert_eq!(out.last().unwrap().seq, 25);
-        // Raising the floor releases older segments to the budget again.
-        s.set_retain_floor(12);
-        while s.maintain().unwrap().did_work() {}
-        assert!(s.first_retained_seq() > 4);
-        assert!(s.first_retained_seq() <= 12);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn offset_store_lines_up_with_absolute_numbering() {
         let mut s = OffsetMemStore::new(100);
         assert_eq!(s.len(), 100);
@@ -2496,7 +2428,6 @@ mod tests {
             let written = c.save(seq, t, payload.as_bytes()).unwrap();
             assert_eq!(written, 29 + payload.len() as u64);
         }
-        assert_eq!(c.oldest_seq(), Some(10));
         assert_eq!(c.latest().unwrap().seq, 30);
         // Payloads round-trip, and the index survives reopen.
         let c2 = CheckpointStore::open(&dir).unwrap();

@@ -189,15 +189,6 @@ impl ExecutionTrace {
         self.store.first_retained_seq()
     }
 
-    /// Pins the backing store's retention floor: entries with
-    /// `seq >= floor` may no longer be evicted — see
-    /// [`TraceStore::set_retain_floor`]. The checkpoint owner calls
-    /// this with the oldest retained checkpoint's trace position after
-    /// every checkpoint write.
-    pub fn set_retain_floor(&mut self, floor: u64) {
-        self.store.set_retain_floor(floor);
-    }
-
     /// Runs one bounded unit of store maintenance (segment compression
     /// / retention eviction) — see [`TraceStore::maintain`]. Timed into
     /// the metrics sink like every other store I/O when one is

@@ -443,14 +443,8 @@ pub(crate) fn restore_session(
         .as_ref()
         .and_then(|cs| newest_image(cs, records.len(), registry, |m| m.seq <= stored))
         .map(|(_, image)| image);
-    let (mut session, _) = rebuild(&spec, image.as_ref(), Box::new(store), records, u64::MAX)
+    let (session, _) = rebuild(&spec, image.as_ref(), Box::new(store), records, u64::MAX)
         .map_err(|e| format!("session {id}: {e}"))?;
-    // Segments still referenced by the oldest retained checkpoint must
-    // outlive retention eviction: a seek replays forward from that
-    // checkpoint and pages its window out of the persisted prefix.
-    if let Some(oldest) = checkpoints.as_ref().and_then(CheckpointStore::oldest_seq) {
-        session.engine_mut().set_trace_retain_floor(oldest);
-    }
 
     let granted_ns = records
         .iter()

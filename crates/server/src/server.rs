@@ -117,11 +117,13 @@ pub struct PersistConfig {
     pub segment_capacity: usize,
     /// Compaction/retention policy applied to every durable session's
     /// trace store. Disabled by default (nothing is compressed or
-    /// evicted — the pre-retention behavior).
+    /// evicted — the pre-retention behavior). When active, a background
+    /// compactor sweeps every durable session each 250 ms and drains its
+    /// pending maintenance. The disk budget bounds the trace segments
+    /// alone; the checkpoint image log stays outside it, and eviction
+    /// passes images freely: seeks and windows reach evicted history by
+    /// restoring an image.
     pub retention: Retention,
-    /// How often the background compactor sweeps the durable sessions.
-    /// Only consulted when `retention` is active.
-    pub compact_interval: Duration,
     /// Full-state checkpoint cadence, in trace entries: after a pumped
     /// slice, a durable session whose trace grew by at least this many
     /// entries since the last checkpoint appends a new one to its image
@@ -151,7 +153,6 @@ impl PersistConfig {
             root: root.into(),
             segment_capacity: DEFAULT_SEGMENT_CAPACITY,
             retention: Retention::default(),
-            compact_interval: Duration::from_millis(250),
             checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
         }
     }
@@ -167,13 +168,6 @@ impl PersistConfig {
     #[must_use]
     pub fn with_retention(mut self, retention: Retention) -> Self {
         self.retention = retention;
-        self
-    }
-
-    /// Overrides how often the background compactor runs.
-    #[must_use]
-    pub fn with_compact_interval(mut self, interval: Duration) -> Self {
-        self.compact_interval = interval.max(Duration::from_millis(1));
         self
     }
 
@@ -263,13 +257,18 @@ pub enum Query {
         /// Target instant, in target nanoseconds.
         t_ns: u64,
         /// Also serialize the replica's full trace into
-        /// [`SeekReport::trace_json`] (O(trace length) to build).
+        /// [`SeekReport::trace_json`] (O(trace length) to build). The
+        /// part below the restored image is read from the live store,
+        /// so this fails once retention has evicted any of it.
         include_trace: bool,
     },
     /// A [`SeekReport`] for the instant `entries` trace entries before
     /// the current end of the trace — "rewind N steps". Same
-    /// checkpoint-restore machinery as [`Self::SeekTo`]; stepping below
-    /// the trace's retention floor is an error.
+    /// checkpoint-restore machinery as [`Self::SeekTo`], but the pivot
+    /// entry's instant is read from the live store, so a step back
+    /// reaches only as far as the retained window: a pivot that
+    /// retention evicted is an error ([`Self::SeekTo`] reaches evicted
+    /// history through the checkpoint images).
     StepBack {
         /// How many trace entries to step back from the end.
         entries: u64,
@@ -279,9 +278,10 @@ pub enum Query {
     /// The trace entries whose event time falls in `[t0_ns, t1_ns]`,
     /// regenerated by checkpoint-restore + replay rather than read from
     /// the live store — so the window is available even on a session
-    /// whose early segments were evicted, as long as a checkpoint
-    /// precedes it. Paged exactly like [`Self::FetchRange`] (same caps,
-    /// same [`TraceSlice`] contract).
+    /// whose early segments were evicted: the replica starts from the
+    /// newest image strictly before the window, or from time zero.
+    /// Paged exactly like [`Self::FetchRange`] (same caps, same
+    /// [`TraceSlice`] contract).
     ReplayWindow {
         /// Window start (inclusive), in target nanoseconds.
         t0_ns: u64,
@@ -616,21 +616,20 @@ impl DebugServer {
             })
             .collect();
         let sessions: Arc<Mutex<Vec<Arc<SessionCell>>>> = Arc::new(Mutex::new(Vec::new()));
-        // With retention active, a background sweep periodically gives
-        // every session's trace store a maintenance turn (compress one
-        // cold segment, evict while over budget). It runs outside the
-        // pump path — a sweep takes each session's state lock briefly,
-        // so the scheduler never stalls behind compression.
+        // With retention active, a background sweep periodically drains
+        // every session's pending trace-store maintenance (compress cold
+        // segments, evict while over budget). It runs outside the pump
+        // path — each maintenance step takes the session's state lock
+        // briefly, so the scheduler never stalls behind a whole drain.
         let compactor = persist
             .as_ref()
-            .filter(|p| p.retention.is_active())
-            .map(|p| {
+            .is_some_and(|p| p.retention.is_active())
+            .then(|| {
                 let shared = Arc::clone(&shared);
                 let sessions = Arc::clone(&sessions);
-                let interval = p.compact_interval;
                 std::thread::Builder::new()
                     .name("gmdf-compactor".to_owned())
-                    .spawn(move || compactor_loop(&shared, &sessions, interval))
+                    .spawn(move || compactor_loop(&shared, &sessions))
                     .expect("spawn compactor thread")
             });
         DebugServer {
@@ -1190,7 +1189,9 @@ impl SessionHandle {
     /// replays it forward — O(checkpoint interval), not O(trace
     /// length). The live session is untouched. With `include_trace` the
     /// report carries the replica's full serialized trace,
-    /// byte-identical to an uninterrupted run's at the same instant.
+    /// byte-identical to an uninterrupted run's at the same instant; it
+    /// needs the live store to retain every entry below the restored
+    /// image.
     ///
     /// # Errors
     ///
@@ -1215,8 +1216,9 @@ impl SessionHandle {
 
     /// Rewinds the session's history `entries` trace entries from the
     /// current end of the trace — same machinery (and same errors) as
-    /// [`SessionHandle::seek_to`]. Stepping below the trace's retention
-    /// floor is an error.
+    /// [`SessionHandle::seek_to`]. The pivot entry is read from the live
+    /// store, so stepping back past the first retained entry is an
+    /// error.
     pub fn step_back(
         &self,
         entries: u64,
@@ -1237,8 +1239,8 @@ impl SessionHandle {
     /// checkpoint-restore + deterministic re-execution and returns it
     /// as one [`TraceSlice`] page (same caps and continuation contract
     /// as [`SessionHandle::fetch_range`]). Works even when the live
-    /// store has evicted the window's segments, as long as a checkpoint
-    /// precedes it.
+    /// store has evicted the window's segments: the replica starts from
+    /// an image before the window, or from time zero.
     ///
     /// # Errors
     ///
@@ -1336,23 +1338,29 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
     }
 }
 
-/// The retention sweep: every `interval`, give each live session's
-/// trace store one maintenance turn (compress at most one cold segment,
+/// How often the background compactor sweeps the durable sessions.
+const COMPACT_INTERVAL: Duration = Duration::from_millis(250);
+
+/// The retention sweep: every [`COMPACT_INTERVAL`], drain each live
+/// session's pending trace-store maintenance (compress cold segments,
 /// evict oldest sealed segments while over the disk budget — see
-/// [`gmdf_engine::TraceStore::maintain`]). Each turn holds that one
-/// session's state lock; sessions are swept strictly one at a time so a
-/// long compression never blocks more than one shard's pump. A
+/// [`gmdf_engine::TraceStore::maintain`]), one bounded step at a time
+/// while a step reports progress. Each step holds that one session's
+/// state lock, and the lock is re-taken for the next, so the session's
+/// pump runs between steps; sessions are swept strictly one at a time
+/// so a long compression never blocks more than one shard's pump. A
 /// maintenance failure fails the session (its history can no longer be
 /// trusted to be contiguous), never the server. Between sweeps the
-/// thread is parked until the next one is due; `shutdown` unparks it.
-fn compactor_loop(shared: &Shared, sessions: &Mutex<Vec<Arc<SessionCell>>>, interval: Duration) {
+/// thread is parked until the next one is due; `shutdown` unparks it
+/// and is checked between steps.
+fn compactor_loop(shared: &Shared, sessions: &Mutex<Vec<Arc<SessionCell>>>) {
     loop {
         let parked_at = Instant::now();
         loop {
             if shared.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            let left = interval.saturating_sub(parked_at.elapsed());
+            let left = COMPACT_INTERVAL.saturating_sub(parked_at.elapsed());
             if left.is_zero() {
                 break;
             }
@@ -1360,21 +1368,28 @@ fn compactor_loop(shared: &Shared, sessions: &Mutex<Vec<Arc<SessionCell>>>, inte
         }
         let cells: Vec<Arc<SessionCell>> = lock(sessions).clone();
         for cell in cells {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let mut inner = lock(&cell.inner);
-            if inner.failed.is_some() {
-                continue;
-            }
-            if let Err(e) = inner.session.engine_mut().maintain_trace() {
-                fail(
-                    &mut inner,
-                    cell.id,
-                    &format!("trace maintenance failed: {e}"),
-                );
-                drop(inner);
-                cell.idle_cv.notify_all();
+            loop {
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    return;
+                }
+                let mut inner = lock(&cell.inner);
+                if inner.failed.is_some() {
+                    break;
+                }
+                match inner.session.engine_mut().maintain_trace() {
+                    Ok(report) if report.did_work() => {}
+                    Ok(_) => break,
+                    Err(e) => {
+                        fail(
+                            &mut inner,
+                            cell.id,
+                            &format!("trace maintenance failed: {e}"),
+                        );
+                        drop(inner);
+                        cell.idle_cv.notify_all();
+                        break;
+                    }
+                }
             }
         }
     }
@@ -1570,7 +1585,7 @@ fn answer(
             // < t0 and therefore cannot be part of the window.
             let target = t1_ns.min(inner.session.now_ns());
             Ok(
-                seek_replica(inner, registry, t0_ns, true, target).and_then(|replica| {
+                seek_replica(inner, registry, |m| m.t_ns < t0_ns, target).and_then(|replica| {
                     read_window(replica.session.engine().trace(), id, t0_ns, t1_ns)
                         .map(Reply::Trace)
                         .map_err(|e| format!("replica window read failed: {e}"))
@@ -1686,13 +1701,6 @@ fn maybe_checkpoint(inner: &mut SessionInner, id: SessionId, registry: &MetricsR
                     .checkpoint_write_ns
                     .record(t0.elapsed().as_nanos() as u64);
             }
-            // Pin retention: segments at or above the oldest retained
-            // checkpoint's position must survive eviction — a seek
-            // restores that checkpoint and pages its forward window out
-            // of the persisted prefix.
-            if let Some(oldest) = store.oldest_seq() {
-                inner.session.engine_mut().set_trace_retain_floor(oldest);
-            }
         }
         Err(e) => fail(inner, id, &format!("checkpoint write failed: {e}")),
     }
@@ -1715,19 +1723,18 @@ struct SeekReplica {
 }
 
 /// Builds a replica of the session at `target_ns`: restores the newest
-/// usable checkpoint whose time satisfies the horizon (`< horizon` when
-/// `strictly_before`, else `<= horizon`), then deterministically
+/// usable checkpoint that `accept` admits, then deterministically
 /// replays journal and pump up to the target. The pick is
 /// [`persist::newest_image`], the one restart uses: a damaged image, or
 /// one past the journal's valid end, falls back to the next older one;
 /// with none usable the replica replays from time zero. The spec and
 /// the journal records come from the session's in-memory
-/// [`persist::Durable`]; the image is the only file read.
+/// [`persist::Durable`]; the image is the only file read, so a replica
+/// reaches history that retention evicted from the live store.
 fn seek_replica(
     inner: &SessionInner,
     registry: &MetricsRegistry,
-    horizon_ns: u64,
-    strictly_before: bool,
+    accept: impl Fn(&CheckpointMeta) -> bool,
     target_ns: u64,
 ) -> Result<SeekReplica, String> {
     let durable = inner.durable.as_ref().ok_or_else(|| {
@@ -1735,17 +1742,10 @@ fn seek_replica(
             .to_owned()
     })?;
     let records = durable.journal.records();
-    let in_horizon = |m: &CheckpointMeta| {
-        if strictly_before {
-            m.t_ns < horizon_ns
-        } else {
-            m.t_ns <= horizon_ns
-        }
-    };
     let picked = durable
         .checkpoints
         .as_ref()
-        .and_then(|store| persist::newest_image(store, records.len(), registry, in_horizon));
+        .and_then(|store| persist::newest_image(store, records.len(), registry, accept));
     let base = picked
         .as_ref()
         .map_or(0, |(_, image)| image.session.trace_len());
@@ -1779,7 +1779,7 @@ fn seek_to_target(
     target_ns: u64,
     include_trace: bool,
 ) -> Result<SeekReport, String> {
-    let replica = seek_replica(inner, registry, target_ns, false, target_ns)?;
+    let replica = seek_replica(inner, registry, |m| m.t_ns <= target_ns, target_ns)?;
     let trace_len = replica.session.engine().trace().len() as u64;
     let trace_json = if include_trace {
         Some(replica_trace_json(inner, &replica)?)
@@ -1837,7 +1837,8 @@ fn step_back_target(inner: &SessionInner, entries: u64) -> Result<u64, String> {
     let pivot = keep - 1;
     if pivot < trace.first_retained_seq() {
         return Err(format!(
-            "step-back target (trace entry {pivot}) is below the retention floor ({})",
+            "step-back target (trace entry {pivot}) is below the first retained entry ({}): \
+             retention evicted it; use SeekTo instead",
             trace.first_retained_seq()
         ));
     }

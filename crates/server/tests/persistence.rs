@@ -17,7 +17,7 @@ use gmdf_engine::{CheckpointStore, Retention, SegmentStore, TraceEntry};
 use gmdf_gdm::{CommandMatcher, EventKind};
 use gmdf_server::{
     DebugServer, EngineEvent, EventReceiver, PersistConfig, ServerConfig, ServerError,
-    SessionHandle, WireClient, WireServer,
+    SessionHandle, WireClient, WireServer, DEFAULT_CHECKPOINT_INTERVAL,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -770,18 +770,19 @@ fn torn_journal_tail_is_recovered() {
     drop(server);
 }
 
-/// Retention soak: a durable session driven far past its disk budget
-/// keeps a bounded on-disk footprint — the compactor thread compresses
-/// sealed segments and evicts the oldest ones — while `ReplayFrom`
+/// Retention soak: a durable session driven far past its disk budget,
+/// with checkpoint images at the default interval, keeps a bounded
+/// on-disk footprint — the compactor thread compresses sealed segments
+/// and evicts the oldest ones, past the images — while `ReplayFrom`
 /// transparently pages the retained history across the compressed cold
-/// tier and the hot tail, and a restart over the compacted registry
-/// restores a session that still answers.
+/// tier and the hot tail, and a restart over a registry evicted past
+/// its newest image restores a session that serves the same history.
 #[test]
 fn retention_budget_bounds_disk_while_replay_spans_tiers() {
-    const BUDGET: u64 = 8 * 1024;
-    // The budget bounds *sealed* segments; the hot tail plus segments
-    // appended since the last compactor sweep ride on top.
-    const SLACK: u64 = 8 * 1024;
+    // At most about 250 entries, compressed: under half an image
+    // interval, so a run stopped three quarters into an interval has
+    // evicted past its newest image however the sweeps fell.
+    const BUDGET: u64 = 4 * 1024;
     const CHUNK_NS: u64 = 25_000_000;
     let root = tmp_root("retention");
     let persist = || {
@@ -791,7 +792,6 @@ fn retention_budget_bounds_disk_while_replay_spans_tiers() {
                 compress_after: Some(1),
                 max_disk_bytes: Some(BUDGET),
             })
-            .with_compact_interval(Duration::from_millis(5))
     };
     let system = || ring_system("retain-ring", 3, 0.0008, 500_000);
     let server = DebugServer::start_persistent(server_config(), persist()).expect("boots");
@@ -801,32 +801,35 @@ fn retention_budget_bounds_disk_while_replay_spans_tiers() {
     let id = handle.id();
 
     // Drive in fixed chunks until the run has recorded several budgets'
-    // worth of history, counting the chunks so a reference run can
+    // worth of history and spans four checkpoint intervals and three
+    // quarters of a fifth, counting the chunks so a reference run can
     // repeat the exact same command schedule.
     let mut chunks = 0usize;
     loop {
         handle.run_for(CHUNK_NS).expect("send");
         handle.wait_idle(WAIT).expect("idle");
         chunks += 1;
-        let len = handle.stats(WAIT).expect("stats").trace_len;
-        if len >= 600 {
+        let len = handle.stats(WAIT).expect("stats").trace_len as u64;
+        if len >= 4 * DEFAULT_CHECKPOINT_INTERVAL + 3 * DEFAULT_CHECKPOINT_INTERVAL / 4 {
             break;
         }
         assert!(
-            chunks < 64,
+            chunks < 256,
             "ring system too quiet: {len} entries after {chunks} chunks"
         );
     }
 
-    // Let the compactor settle: disk under budget *and* a compressed
-    // cold tier present among the retained segments. (During the run
-    // eviction consumes the oldest — compressed — segments; once
-    // appends stop, the next sweeps re-compress the retained tail.)
+    // Let the compactor settle: disk within the budget *and* a
+    // compressed cold tier present among the retained segments. (During
+    // the run eviction consumes the oldest — compressed — segments; once
+    // appends stop, the next sweep drains: it re-compresses the retained
+    // tail and evicts until the footprint is within the budget itself,
+    // after which no sweep evicts again, so the floor below is final.)
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    let fleet = loop {
+    loop {
         let fleet = server.metrics_snapshot().fleet;
-        if fleet.trace_disk_bytes <= BUDGET + SLACK && fleet.trace_compacted_segments > 0 {
-            break fleet;
+        if fleet.trace_disk_bytes <= BUDGET && fleet.trace_compacted_segments > 0 {
+            break;
         }
         assert!(
             std::time::Instant::now() < deadline,
@@ -835,7 +838,12 @@ fn retention_budget_bounds_disk_while_replay_spans_tiers() {
             fleet.trace_compacted_segments
         );
         std::thread::sleep(Duration::from_millis(20));
-    };
+    }
+    // A snapshot reads the fleet counters before it takes each session's
+    // lock for the store's stats, so the one that saw the store settle
+    // may predate the counters of the sweep it waited behind: read them
+    // afresh.
+    let fleet = server.metrics_snapshot().fleet;
     assert!(
         fleet.store_compactions > 0,
         "compactor never compressed a segment"
@@ -845,6 +853,10 @@ fn retention_budget_bounds_disk_while_replay_spans_tiers() {
         "the budget never forced an eviction"
     );
     assert!(fleet.store_reclaimed_bytes > 0, "nothing was reclaimed");
+    assert!(
+        fleet.checkpoint_writes > 0,
+        "no checkpoint image was written"
+    );
 
     // Reference: the same image under the same command schedule, fully
     // in memory — determinism makes its trace the ground truth for what
@@ -898,10 +910,26 @@ fn retention_budget_bounds_disk_while_replay_spans_tiers() {
         "retained suffix must match the in-memory reference"
     );
 
-    // A restart over the compacted, partially-evicted registry restores
-    // the session and serves the same retained history.
+    // A restart over the compacted registry, evicted past its newest
+    // image, restores from that image and serves the same retained
+    // history.
     drop(server);
+    let newest = CheckpointStore::open(checkpoint_dir(&root, id))
+        .expect("image log opens")
+        .latest()
+        .expect("images written")
+        .seq;
+    assert!(
+        newest < floor,
+        "eviction must pass the newest image: image {newest}, floor {floor}"
+    );
     let server = DebugServer::start_persistent(server_config(), persist()).expect("restart");
+    assert!(server.quarantined_sessions().is_empty());
+    assert_eq!(
+        server.metrics_snapshot().fleet.checkpoint_restores,
+        1,
+        "the restart restores the newest image"
+    );
     let handle = server.handle(id).expect("restored");
     handle.wait_idle(WAIT).expect("restored catch-up finishes");
     let (floor_after, paged_after) = pages(&handle);
@@ -911,5 +939,47 @@ fn retention_budget_bounds_disk_while_replay_spans_tiers() {
         serde_json::to_string(&paged).expect("json"),
         "restart must not change the retained history"
     );
+    drop(server);
+}
+
+/// The compactor drains: each sweep repeats a session's maintenance
+/// while it reports progress, so one sweep compresses every segment
+/// sealed before it rather than one segment per session.
+#[test]
+fn compactor_sweep_drains_every_sealed_segment() {
+    const CAPACITY: u64 = 16;
+    let root = tmp_root("drain");
+    let server = DebugServer::start_persistent(
+        server_config(),
+        PersistConfig::new(&root)
+            .with_segment_capacity(CAPACITY as usize)
+            .with_retention(Retention {
+                compress_after: Some(0),
+                max_disk_bytes: None,
+            }),
+    )
+    .expect("boots");
+    let handle = server
+        .add_durable_session(&spec_of(ring_system("drain-ring", 3, 0.0001, 100_000)))
+        .expect("durable");
+    handle.run_for(2_000_000_000).expect("send");
+    handle.wait_idle(WAIT).expect("idle");
+    let sealed = handle.stats(WAIT).expect("stats").trace_len as u64 / CAPACITY;
+    assert!(sealed >= 100, "the run sealed only {sealed} segments");
+
+    // The compactor sweeps every 250 ms: within four sweeps of the run's
+    // end, every sealed segment is in the cold tier.
+    let deadline = std::time::Instant::now() + Duration::from_secs(1);
+    loop {
+        let compacted = server.metrics_snapshot().fleet.trace_compacted_segments;
+        if compacted == sealed {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{compacted} of {sealed} sealed segments compressed 1 s after the run"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
     drop(server);
 }
