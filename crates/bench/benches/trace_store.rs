@@ -9,11 +9,14 @@
 //!   backend under each record codec (the disk lines include the
 //!   per-batch store creation and flush — the full durability bill);
 //! * `trace_store/window_mem` / `window_cold_disk` /
-//!   `cold_window_compacted` — a narrow `window` query against a long
-//!   prebuilt trace: the in-memory store answers from its `Vec`, the
-//!   disk store from its per-segment index plus the one or two boundary
-//!   segments it actually reads, and the compacted store additionally
-//!   decompresses those segments from the `.lgz` cold tier;
+//!   `window_cold_disk_binary` / `cold_window_compacted` — a narrow
+//!   `window` query (~64 entries) against a long prebuilt trace: the
+//!   in-memory store answers from its `Vec`; the disk stores (JSON, and
+//!   binary, the codec every durable session records in) from their
+//!   per-segment index plus one in-place walk of each segment the query
+//!   touches, decoding only the entries it returns; and the compacted
+//!   binary store additionally decompresses those segments from the
+//!   `.lgz` cold tier;
 //! * `trace_store/reopen_disk_binary` — opening an existing binary store
 //!   of `trace_len()` entries, the trace store's share of a durable
 //!   session's restart: every segment file is read and every frame
@@ -184,6 +187,16 @@ fn bench_store(c: &mut Criterion) {
         b.iter(|| black_box(disk.window(black_box(t0), black_box(t1)).count()))
     });
 
+    // The same window over a binary store: the sealed read every
+    // durable session makes.
+    let binary_window_dir = tmp_dir("window-bin");
+    let mut binary = disk_trace(&binary_window_dir, Codec::Binary);
+    record_batch(&mut binary, trace_len());
+    binary.sync().expect("flush");
+    group.bench_function("window_cold_disk_binary", |b| {
+        b.iter(|| black_box(binary.window(black_box(t0), black_box(t1)).count()))
+    });
+
     // The same narrow window against a fully compacted store: every
     // sealed segment lives on the `.lgz` cold tier, so the seek pays
     // per-segment decompression on top of the index walk.
@@ -209,6 +222,7 @@ fn bench_store(c: &mut Criterion) {
     });
     group.finish();
     std::fs::remove_dir_all(&window_dir).ok();
+    std::fs::remove_dir_all(&binary_window_dir).ok();
     std::fs::remove_dir_all(&compact_dir).ok();
 }
 

@@ -25,9 +25,13 @@
 //! fixed number of entries, so a sequence number maps to its segment by
 //! division; an in-memory per-segment index of `(first_seq, last_seq,
 //! t0_ns, t1_ns)` makes `entries_since`, `window` and replay seek
-//! O(log segments + hit) instead of O(whole run). The active segment is
-//! additionally cached in memory, so the hot path (the scheduler
-//! publishing the latest delta) never touches disk.
+//! O(log segments + hit) instead of O(whole run). A read walks each
+//! sealed segment it touches once, in place, checking every frame under
+//! the rule the open checks with, and decodes only the entries it
+//! returns; a window's bounds are found from in-place keys without
+//! building an entry. The active segment is additionally cached in
+//! memory, so the hot path (the scheduler publishing the latest delta)
+//! never touches disk.
 //!
 //! **Compaction tiers**: under a [`Retention`] policy,
 //! [`TraceStore::maintain`] moves sealed segments into an LZ-compressed
@@ -46,7 +50,9 @@
 //! always yields a valid *prefix* of the original trace, never a gap or
 //! a panic (`crates/engine/tests/store_recovery.rs` proves this for
 //! kills at arbitrary byte offsets and flipped bytes in sealed
-//! segments).
+//! segments). Reads walk sealed segments under the same rule, so a
+//! sealed file damaged after the open fails the reads that touch it
+//! instead of shortening them.
 
 use crate::trace::TraceEntry;
 use gmdf_gdm::{EventKind, EventValue, ModelEvent, ReactionSpec};
@@ -54,6 +60,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// A trace storage failure (I/O, corrupt metadata…).
@@ -120,11 +127,15 @@ pub trait TraceStore: Send + fmt::Debug {
     }
 
     /// Appends the entries with `seq` in `[from_seq, to_seq)` (clamped
-    /// to the stored range) onto `out`, in sequence order.
+    /// to the stored range) onto `out`, in sequence order. A disk store
+    /// decodes only the entries it appends, yet checks every frame of
+    /// each sealed segment it touches.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures.
+    /// Propagates I/O failures, and fails when a touched segment no
+    /// longer holds its indexed entries: damage is an error, never a
+    /// shorter read. `out` may then hold a partial read.
     fn read_into(
         &self,
         from_seq: u64,
@@ -134,11 +145,14 @@ pub trait TraceStore: Send + fmt::Debug {
 
     /// The half-open sequence range `[lo, hi)` of entries whose event
     /// time falls in `[t0_ns, t1_ns]`. Empty windows (including
-    /// inverted inputs) return `lo == hi`.
+    /// inverted inputs) return `lo == hi`. A disk store finds each bound
+    /// in the one segment that holds it, from the frames' keys, without
+    /// building an entry, and walks a segment once when both bounds
+    /// fall in it.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures from reading boundary segments — a
+    /// Propagates I/O failures and damage in the boundary segments — a
     /// failing disk must surface as an error, never masquerade as an
     /// empty window.
     fn window_bounds(&self, t0_ns: u64, t1_ns: u64) -> Result<(u64, u64), StoreError>;
@@ -988,7 +1002,8 @@ impl SegmentMeta {
     }
 }
 
-/// The valid prefix of one segment image, as [`walk_segment`] found it.
+/// The valid prefix of one segment image, as
+/// [`SegmentStore::walk_segment`] found it.
 #[derive(Debug, Clone, Copy, Default)]
 struct SegmentWalk {
     /// Leading entries that decode and continue the dense sequence.
@@ -1012,31 +1027,6 @@ impl SegmentWalk {
             compressed,
         }
     }
-}
-
-/// Walks the entry frames of a segment image whose first entry must be
-/// `first_seq`, without building entries: it takes at most `capacity`
-/// frames and stops at the first one that is torn, does not decode
-/// ([`entry_key`]) or breaks the dense sequence.
-fn walk_segment(bytes: &[u8], codec: Codec, first_seq: u64, capacity: usize) -> SegmentWalk {
-    let mut walk = SegmentWalk::default();
-    while walk.count < capacity {
-        let Some(payload) = next_frame(&bytes[walk.len..]) else {
-            break;
-        };
-        match entry_key(payload, codec) {
-            Some((seq, time_ns)) if seq == first_seq + walk.count as u64 => {
-                if walk.count == 0 {
-                    walk.t0_ns = time_ns;
-                }
-                walk.t1_ns = time_ns;
-                walk.count += 1;
-                walk.len += 4 + payload.len();
-            }
-            _ => break,
-        }
-    }
-    walk
 }
 
 /// Append-only, segmented on-disk trace store (see the module docs for
@@ -1250,7 +1240,7 @@ impl SegmentStore {
                 let lgz_path = self.compressed_path(idx);
                 let data = std::fs::read(&lgz_path)?;
                 let walk = unpack_segment(&data).and_then(|raw| {
-                    let walk = walk_segment(&raw, self.codec, expected_first, self.capacity);
+                    let walk = self.walk_segment(&raw, expected_first, 0..0, |_, _| {});
                     let more = next_frame(&raw[walk.len..])
                         .and_then(|p| entry_key(p, self.codec))
                         .is_some();
@@ -1280,7 +1270,7 @@ impl SegmentStore {
             // The walk also cuts where entries stop continuing the dense
             // sequence: the file was damaged beyond framing (e.g. bytes
             // flipped in a seq field).
-            let walk = walk_segment(&bytes, self.codec, expected_first, self.capacity);
+            let walk = self.walk_segment(&bytes, expected_first, 0..0, |_, _| {});
             if walk.count == 0 {
                 // Nothing usable in this segment: delete it and stop.
                 std::fs::remove_file(&path)?;
@@ -1298,12 +1288,11 @@ impl SegmentStore {
                 self.drop_segments_after(idx)?;
                 self.tail_first = expected_first;
                 self.tail_bytes = walk.len as u64;
-                self.tail = scan_frames(&bytes[..walk.len], |p| decode_entry(p, self.codec)).0;
-                assert_eq!(
-                    self.tail.len(),
-                    walk.count,
-                    "decode accepts what the walk did"
-                );
+                let mut tail = Vec::with_capacity(walk.count);
+                self.walk_segment(&bytes, expected_first, 0..walk.count, |_, entry| {
+                    tail.extend(entry)
+                });
+                self.tail = tail;
                 return Ok(());
             }
             self.sealed
@@ -1342,26 +1331,99 @@ impl SegmentStore {
         &self.sealed[pos]
     }
 
-    /// Reads one retained sealed segment's entries from disk, from
-    /// whichever tier (raw `.log` or compressed `.lgz`) holds it.
-    fn load_sealed(&self, meta: &SegmentMeta) -> Result<Vec<TraceEntry>, StoreError> {
+    /// Walks the entry frames of a segment image whose first entry must
+    /// be `first_seq`: it takes at most `capacity` frames and stops at
+    /// the first one that is torn, does not decode ([`entry_key`]) or
+    /// breaks the dense sequence. This is the one acceptance rule: the
+    /// open and every read of a sealed segment walk under it. Frames
+    /// whose index lies in `decode` are decoded, the decode being their
+    /// check, so a JSON frame is decoded once; the rest are checked in
+    /// place without building an entry. `visit` sees each accepted frame's
+    /// event time and, for a decoded frame, its entry.
+    fn walk_segment(
+        &self,
+        bytes: &[u8],
+        first_seq: u64,
+        decode: Range<usize>,
+        mut visit: impl FnMut(u64, Option<TraceEntry>),
+    ) -> SegmentWalk {
+        let mut walk = SegmentWalk::default();
+        while walk.count < self.capacity {
+            let Some(payload) = next_frame(&bytes[walk.len..]) else {
+                break;
+            };
+            let seq = first_seq + walk.count as u64;
+            let accepted = if decode.contains(&walk.count) {
+                decode_entry(payload, self.codec)
+                    .filter(|e| e.seq == seq)
+                    .map(|e| (e.event.time_ns, Some(e)))
+            } else {
+                entry_key(payload, self.codec)
+                    .filter(|&(key_seq, _)| key_seq == seq)
+                    .map(|(_, time_ns)| (time_ns, None))
+            };
+            let Some((time_ns, entry)) = accepted else {
+                break;
+            };
+            if walk.count == 0 {
+                walk.t0_ns = time_ns;
+            }
+            walk.t1_ns = time_ns;
+            walk.count += 1;
+            walk.len += 4 + payload.len();
+            visit(time_ns, entry);
+        }
+        walk
+    }
+
+    /// Walks one retained sealed segment in place
+    /// ([`SegmentStore::walk_segment`]), from whichever tier (raw `.log`
+    /// or compressed `.lgz`) holds it, decoding only the frames whose
+    /// index within the segment lies in `decode`. Every frame is
+    /// checked, so a file that no longer holds its indexed entries is an
+    /// error, never a shorter read.
+    fn walk_sealed(
+        &self,
+        meta: &SegmentMeta,
+        decode: Range<usize>,
+        visit: impl FnMut(u64, Option<TraceEntry>),
+    ) -> Result<(), StoreError> {
         let idx = self.segment_index(meta.first_seq);
-        let entries = if meta.compressed {
+        let bytes = if meta.compressed {
             let data = std::fs::read(self.compressed_path(idx))?;
-            let raw = unpack_segment(&data)
-                .ok_or_else(|| StoreError::new(format!("compressed segment {idx} is damaged")))?;
-            scan_frames(&raw, |p| decode_entry(p, self.codec)).0
+            unpack_segment(&data)
+                .ok_or_else(|| StoreError::new(format!("compressed segment {idx} is damaged")))?
         } else {
-            read_entries(&self.segment_path(idx), self.codec)?.0
+            std::fs::read(self.segment_path(idx))?
         };
-        if entries.len() as u64 != meta.entry_count() {
+        let walk = self.walk_segment(&bytes, meta.first_seq, decode, visit);
+        if walk.count as u64 != meta.entry_count() {
             return Err(StoreError::new(format!(
                 "segment {idx} decoded {} of {} entries",
-                entries.len(),
+                walk.count,
                 meta.entry_count()
             )));
         }
-        Ok(entries)
+        Ok(())
+    }
+
+    /// The first seq with time `>= t0_ns` and one past the last with
+    /// time `<= t1_ns`, each clamped to segment `seg` (the active tail
+    /// when `seg == sealed.len()`). A sealed segment is walked once and
+    /// builds no entry: times are nondecreasing, so counting the
+    /// entries before each bound finds it.
+    fn segment_bounds(&self, seg: usize, t0_ns: u64, t1_ns: u64) -> Result<(u64, u64), StoreError> {
+        let Some(meta) = self.sealed.get(seg) else {
+            let lo = self.tail.partition_point(|e| e.event.time_ns < t0_ns);
+            let hi = self.tail.partition_point(|e| e.event.time_ns <= t1_ns);
+            return Ok((self.tail_first + lo as u64, self.tail_first + hi as u64));
+        };
+        let (mut lo, mut hi) = (meta.first_seq, meta.first_seq);
+        self.walk_sealed(meta, 0..0, |time_ns, _| {
+            lo += u64::from(time_ns < t0_ns);
+            hi += u64::from(time_ns <= t1_ns);
+        })?;
+        Ok((lo, hi))
     }
 
     fn active_writer(&mut self) -> Result<&mut BufWriter<File>, StoreError> {
@@ -1424,13 +1486,13 @@ impl TraceStore for SegmentStore {
             return Ok(());
         }
         let mut seq = from;
-        // Sealed segments: one file read per touched segment.
+        // Sealed segments: one in-place walk per touched segment, which
+        // decodes only the entries it returns.
         while seq < to && seq < self.tail_first {
-            let meta = *self.sealed_containing(seq);
-            let mut entries = self.load_sealed(&meta)?;
+            let meta = self.sealed_containing(seq);
             let lo = (seq - meta.first_seq) as usize;
             let hi = ((to.min(meta.last_seq + 1)) - meta.first_seq) as usize;
-            out.extend(entries.drain(lo..hi));
+            self.walk_sealed(meta, lo..hi, |_, entry| out.extend(entry))?;
             seq = meta.first_seq + hi as u64;
         }
         // Active tail: served from the in-memory cache.
@@ -1446,34 +1508,27 @@ impl TraceStore for SegmentStore {
         if t0_ns > t1_ns || self.len() == self.first_retained_seq() {
             return Ok((0, 0));
         }
-        let tail_first = self.tail_first;
-        // `lo`: first seq with time >= t0. Binary-search the sealed
-        // index, then partition inside the one boundary segment.
-        let lo = {
-            let seg = self.sealed.partition_point(|m| m.t1_ns < t0_ns);
-            if seg < self.sealed.len() {
-                let entries = self.load_sealed(&self.sealed[seg])?;
-                self.sealed[seg].first_seq
-                    + entries.partition_point(|e| e.event.time_ns < t0_ns) as u64
-            } else {
-                tail_first + self.tail.partition_point(|e| e.event.time_ns < t0_ns) as u64
+        // Each bound lies in one segment, found from the index: `lo`
+        // (the first seq with time >= t0) in the first segment ending at
+        // or after t0, `hi` (one past the last seq with time <= t1) in
+        // the last one starting at or before t1. `sealed.len()` names
+        // the active tail.
+        let lo_seg = self.sealed.partition_point(|m| m.t1_ns < t0_ns);
+        let hi_seg = if self.tail.first().is_some_and(|e| e.event.time_ns <= t1_ns) {
+            self.sealed.len()
+        } else {
+            match self.sealed.partition_point(|m| m.t0_ns <= t1_ns) {
+                0 => return Ok((0, 0)),
+                seg => seg - 1,
             }
         };
-        // `hi`: one past the last seq with time <= t1.
-        let hi = {
-            let after_tail = !self.tail.is_empty()
-                && self.tail.first().expect("nonempty").event.time_ns <= t1_ns;
-            if after_tail {
-                tail_first + self.tail.partition_point(|e| e.event.time_ns <= t1_ns) as u64
-            } else {
-                let seg = self.sealed.partition_point(|m| m.t0_ns <= t1_ns);
-                if seg == 0 {
-                    return Ok((0, 0));
-                }
-                let entries = self.load_sealed(&self.sealed[seg - 1])?;
-                self.sealed[seg - 1].first_seq
-                    + entries.partition_point(|e| e.event.time_ns <= t1_ns) as u64
-            }
+        let (lo, hi) = if lo_seg == hi_seg {
+            self.segment_bounds(lo_seg, t0_ns, t1_ns)?
+        } else {
+            (
+                self.segment_bounds(lo_seg, t0_ns, t1_ns)?.0,
+                self.segment_bounds(hi_seg, t0_ns, t1_ns)?.1,
+            )
         };
         if lo >= hi {
             Ok((0, 0))

@@ -15,9 +15,17 @@
 //!   `window_bounds`, `get` and `to_json` agree byte-for-byte between
 //!   the in-memory store and the segmented disk store over random
 //!   traces, segment capacities and query points.
+//! * **Ranged reads equal the full decode** — a sealed segment is read
+//!   in place, decoding only the entries a read returns, yet every
+//!   `read_into` range and `window_bounds` answer equals the in-memory
+//!   store's, on both codecs, across the hot and cold tiers, with times
+//!   that repeat across segment seams. A sealed file damaged after the
+//!   open (cut short, or one frame's seq changed) fails every read and
+//!   bound that touches it, never shortening a page.
 
 use gmdf_engine::store::{
-    encode_record, read_entries, Codec, MemStore, SegmentConfig, SegmentStore, TraceStore,
+    encode_record, read_entries, Codec, MemStore, Retention, SegmentConfig, SegmentStore,
+    TraceStore,
 };
 use gmdf_engine::{ExecutionTrace, TraceEntry};
 use gmdf_gdm::{EventKind, EventValue, ModelEvent, ReactionSpec};
@@ -286,6 +294,207 @@ proptest! {
         let mut read_back = Vec::new();
         reopened.read_into(0, u64::MAX, &mut read_back).expect("read");
         prop_assert_eq!(&read_back, &expected);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Entries whose times repeat: each step advances the clock by 0, 1 or
+/// 2 µs, so runs of equal times fall inside segments and across their
+/// seams.
+fn entries_with_repeats(shape: &[(u64, u8)]) -> Vec<TraceEntry> {
+    let mut time_ns = 0;
+    shape
+        .iter()
+        .enumerate()
+        .map(|(i, &(step, kind))| {
+            time_ns += step * 1_000;
+            let mut e = entry(i as u64, 0, kind);
+            e.event.time_ns = time_ns;
+            e
+        })
+        .collect()
+}
+
+/// The byte offset of every frame in one segment file.
+fn frame_offsets(bytes: &[u8]) -> Vec<usize> {
+    let mut offsets = Vec::new();
+    let mut at = 0usize;
+    while at + 4 <= bytes.len() {
+        offsets.push(at);
+        at += 4 + u32::from_be_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
+    }
+    offsets
+}
+
+/// Flips the low bit of the frame's seq, which moves it by one and
+/// keeps the frame decodable: the first varint byte of a binary
+/// payload, or the last digit of a JSON payload's `"seq":N`.
+fn flip_seq(bytes: &mut [u8], frame: usize, codec: Codec) {
+    let payload = frame + 4;
+    let at = match codec {
+        Codec::Binary => payload,
+        Codec::Json => {
+            let key = b"\"seq\":";
+            let start = payload
+                + bytes[payload..]
+                    .windows(key.len())
+                    .position(|w| w == key)
+                    .expect("a JSON entry has a seq")
+                + key.len();
+            start
+                + bytes[start..]
+                    .iter()
+                    .take_while(|b| b.is_ascii_digit())
+                    .count()
+                - 1
+        }
+    };
+    bytes[at] ^= 1;
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Reads that decode only what they return still equal the full
+    /// decode: every `read_into` range (past the end included) and every
+    /// `window_bounds` answer matches the in-memory store's, on both
+    /// codecs, hot or compressed, before or after a reopen.
+    #[test]
+    fn ranged_reads_equal_the_full_decode(
+        shape in proptest::collection::vec((0u64..3, 0u8..6), 30..90),
+        capacity in 2usize..9,
+        codec in arb_codec(),
+        compress_after in prop_oneof![Just(None), Just(Some(0usize)), Just(Some(2usize))],
+        reopen in any::<bool>(),
+        reads in proptest::collection::vec((0u64..100, 0u64..100), 1..12),
+        windows in proptest::collection::vec((0u64..400, 0u64..400), 1..12),
+    ) {
+        let entries = entries_with_repeats(&shape);
+        let dir = tmp_dir("ranged");
+        let config = SegmentConfig {
+            retention: Retention {
+                compress_after,
+                max_disk_bytes: None,
+            },
+            ..config(capacity, codec)
+        };
+        let mut disk = write_store(&dir, config, &entries);
+        while disk.maintain().expect("maintain").did_work() {}
+        if reopen {
+            drop(disk);
+            disk = SegmentStore::open_with(&dir, config).expect("reopen");
+        }
+        let mem = MemStore::from_entries(entries.clone());
+
+        for &(a, b) in reads.iter().chain([&(0, u64::MAX)]) {
+            let (lo, hi) = (a.min(b), a.max(b));
+            let mut from_disk = Vec::new();
+            disk.read_into(lo, hi, &mut from_disk).expect("disk read");
+            let mut from_mem = Vec::new();
+            mem.read_into(lo, hi, &mut from_mem).expect("mem read");
+            prop_assert_eq!(from_disk, from_mem, "read_into({}, {})", lo, hi);
+        }
+        // Half-microsecond steps land both on entry times (often a run
+        // of equal ones) and between them.
+        for &(a, b) in &windows {
+            let (t0, t1) = (a * 500, b * 500);
+            prop_assert_eq!(
+                disk.window_bounds(t0, t1).expect("disk window_bounds"),
+                mem.window_bounds(t0, t1).expect("mem window_bounds"),
+                "window_bounds({}, {})", t0, t1
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A sealed file damaged after the open — cut short (hot or
+    /// compressed), or one frame's seq moved by one — no longer holds
+    /// its indexed entries: every read and every bound that walks that
+    /// segment is an error, never a shorter page, while reads and
+    /// bounds that stay in other segments still answer like the
+    /// in-memory store.
+    #[test]
+    fn a_damaged_sealed_segment_fails_every_read_that_touches_it(
+        shape in proptest::collection::vec((0u64..3, 0u8..6), 30..90),
+        capacity in 2usize..9,
+        codec in arb_codec(),
+        flip in any::<bool>(),
+        compressed in any::<bool>(),
+        segment_pick in 0.0f64..1.0,
+        damage_pick in 0.0f64..1.0,
+        reads in proptest::collection::vec((0u64..100, 0u64..100), 1..12),
+        windows in proptest::collection::vec((0u64..400, 0u64..400), 1..12),
+    ) {
+        let entries = entries_with_repeats(&shape);
+        let n = entries.len() as u64;
+        let cap = capacity as u64;
+        let dir = tmp_dir("damaged");
+        // Only a hot file has frames to flip; a cut may hit either tier.
+        let compressed = compressed && !flip;
+        let config = SegmentConfig {
+            retention: Retention {
+                compress_after: compressed.then_some(0),
+                max_disk_bytes: None,
+            },
+            ..config(capacity, codec)
+        };
+        let mut disk = write_store(&dir, config, &entries);
+        while disk.maintain().expect("maintain").did_work() {}
+        let mem = MemStore::from_entries(entries.clone());
+
+        let sealed = n / cap;
+        let damaged = ((sealed as f64 * segment_pick) as u64).min(sealed - 1);
+        let (path, _) = &segment_files(&dir)[damaged as usize];
+        let mut bytes = std::fs::read(path).expect("read");
+        if flip {
+            let frames = frame_offsets(&bytes);
+            let frame = frames[((frames.len() as f64 * damage_pick) as usize).min(frames.len() - 1)];
+            flip_seq(&mut bytes, frame, codec);
+        } else {
+            bytes.truncate(((bytes.len() as f64 * damage_pick) as usize).min(bytes.len() - 1));
+        }
+        std::fs::write(path, &bytes).expect("damage");
+        let in_damaged = |seq: u64| seq / cap == damaged;
+
+        // Every segment read whole, then the random ranges.
+        let whole: Vec<(u64, u64)> = (0..n.div_ceil(cap)).map(|s| (s * cap, s * cap + cap)).collect();
+        for &(a, b) in whole.iter().chain(&reads) {
+            let (lo, hi) = (a.min(b), a.max(b));
+            let mut from_disk = Vec::new();
+            let result = disk.read_into(lo, hi, &mut from_disk);
+            if (lo..hi.min(n)).any(in_damaged) {
+                prop_assert!(result.is_err(), "read_into({}, {}) touches segment {}", lo, hi, damaged);
+            } else {
+                result.expect("a read of undamaged segments");
+                let mut from_mem = Vec::new();
+                mem.read_into(lo, hi, &mut from_mem).expect("mem read");
+                prop_assert_eq!(from_disk, from_mem, "read_into({}, {})", lo, hi);
+            }
+        }
+        // A bound walks the segment that holds it: `lo` the first entry
+        // at or after t0, `hi` the last at or before t1.
+        let times: Vec<u64> = entries.iter().map(|e| e.event.time_ns).collect();
+        for &(a, b) in &windows {
+            let (t0, t1) = (a * 500, b * 500);
+            let expected = mem.window_bounds(t0, t1).expect("mem window_bounds");
+            let lo = times.partition_point(|&t| t < t0) as u64;
+            let hi = times.partition_point(|&t| t <= t1) as u64;
+            let lo_hit = lo < n && in_damaged(lo);
+            let hi_hit = hi > 0 && in_damaged(hi - 1);
+            match disk.window_bounds(t0, t1) {
+                Err(_) => prop_assert!(
+                    lo_hit || hi_hit,
+                    "window_bounds({}, {}) failed without touching segment {}", t0, t1, damaged
+                ),
+                Ok(bounds) => {
+                    prop_assert!(
+                        t0 > t1 || lo >= hi || !(lo_hit || hi_hit),
+                        "window_bounds({}, {}) answered past damaged segment {}", t0, t1, damaged
+                    );
+                    prop_assert_eq!(bounds, expected, "window_bounds({}, {})", t0, t1);
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -806,25 +806,21 @@ impl DebugServer {
     /// and the quarantine list. Works — with zeroed registry-side
     /// counters — even when metrics are disabled; the session rows come
     /// from always-on per-session counters.
+    ///
+    /// The registry is read after the last session lock is released. A
+    /// store maintenance step counts its work under its session's lock,
+    /// so the fleet counters (`store_compactions`, …) cover every store
+    /// state the rows and store sums show.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let registry = &self.shared.metrics;
-        let mut fleet = metrics::fleet_skeleton(registry);
         let cells: Vec<Arc<SessionCell>> = lock(&self.sessions).clone();
-        fleet.sessions = cells.len() as u64;
         let mut sessions = Vec::with_capacity(cells.len() + self.quarantined.len());
+        let mut compacted_segments = 0;
         for cell in &cells {
             let inner = lock(&cell.inner);
             let engine = inner.session.engine();
             let store_stats = engine.trace().store_stats();
             let (memo_hits, memo_misses) = inner.session.simulator().memo_stats();
-            let fed = events_fed(engine);
-            fleet.events_fed += fed;
-            fleet.lagged_drops += inner.lagged.get();
-            fleet.trace_segments += store_stats.segments;
-            fleet.trace_disk_bytes += store_stats.disk_bytes;
-            fleet.trace_compacted_segments += store_stats.compacted_segments;
-            fleet.memo_hits += memo_hits;
-            fleet.memo_misses += memo_misses;
+            compacted_segments += store_stats.compacted_segments;
             sessions.push(SessionHealth {
                 session: cell.id,
                 state: cell.health(&inner),
@@ -835,7 +831,7 @@ impl DebugServer {
                 trace_len: engine.trace().len() as u64,
                 trace_segments: store_stats.segments,
                 trace_bytes: store_stats.disk_bytes,
-                events_fed: fed,
+                events_fed: events_fed(engine),
                 violations: engine.violations().len() as u64,
                 breakpoint_hits: engine.stats().breakpoint_hits,
                 lagged_drops: inner.lagged.get(),
@@ -873,6 +869,17 @@ impl DebugServer {
                 memo_hits: 0,
                 memo_misses: 0,
             });
+        }
+        let mut fleet = metrics::fleet_skeleton(&self.shared.metrics);
+        fleet.sessions = cells.len() as u64;
+        fleet.trace_compacted_segments = compacted_segments;
+        for row in &sessions {
+            fleet.events_fed += row.events_fed;
+            fleet.lagged_drops += row.lagged_drops;
+            fleet.trace_segments += row.trace_segments;
+            fleet.trace_disk_bytes += row.trace_bytes;
+            fleet.memo_hits += row.memo_hits;
+            fleet.memo_misses += row.memo_misses;
         }
         MetricsSnapshot {
             fleet,
@@ -1610,7 +1617,8 @@ fn read_window(
 ) -> Result<TraceSlice, StoreError> {
     let (lo, hi) = trace.window_bounds(t0_ns, t1_ns)?;
     let end = hi.min(lo.saturating_add(MAX_FETCH_ENTRIES));
-    Ok(trace_page(id, lo, hi, read_bounded(trace, lo, end)?))
+    let entries = read_bounded(trace, lo, end, MAX_FETCH_BYTES)?;
+    Ok(trace_page(id, lo, hi, entries))
 }
 
 /// One page of up to `limit` entries (`0` = the server cap) from
@@ -1633,7 +1641,8 @@ fn read_from(
     // incomplete page whose continuation point never advances.
     let lo = seq.max(trace.first_retained_seq());
     let end = len.min(lo.saturating_add(cap));
-    Ok(trace_page(id, lo, len, read_bounded(trace, lo, end)?))
+    let entries = read_bounded(trace, lo, end, MAX_FETCH_BYTES)?;
+    Ok(trace_page(id, lo, len, entries))
 }
 
 /// Packages one history page ending at `end_seq`. On a
@@ -1852,19 +1861,21 @@ fn step_back_target(inner: &SessionInner, entries: u64) -> Result<u64, String> {
 }
 
 /// Reads trace entries `[lo, end)` for one reply page, bounded by the
-/// caller's entry cap (baked into `end`) *and* [`MAX_FETCH_BYTES`] of
-/// encoded payload — see the constant for why both bounds exist. Reads
-/// in store-page-sized chunks so a byte-capped request never pulls the
-/// whole entry range off disk first. On a retention-evicted store the
-/// result starts at the eviction floor when `lo` is below it.
+/// caller's entry cap (baked into `end`) *and* `max_bytes` of JSON
+/// payload (replies pass [`MAX_FETCH_BYTES`]; see the constant for why
+/// both bounds exist). Reads in store-page-sized chunks so a
+/// byte-capped request never pulls the whole entry range off disk
+/// first. On a retention-evicted store the result starts at the
+/// eviction floor when `lo` is below it.
 fn read_bounded(
     trace: &gmdf_engine::ExecutionTrace,
     lo: u64,
     end: u64,
+    max_bytes: u64,
 ) -> Result<Vec<TraceEntry>, StoreError> {
     const CHUNK: u64 = 256;
     let mut entries: Vec<TraceEntry> = Vec::new();
-    let mut budget = MAX_FETCH_BYTES;
+    let mut budget = max_bytes;
     // Start at the eviction floor: chunks below it would come back
     // empty and end the loop before any retained entry was reached.
     let mut next = lo.max(trace.first_retained_seq());
@@ -2055,8 +2066,8 @@ mod tests {
     use super::*;
     use crate::test_systems::{blinker_system, ring_system, spec_of, tmp_root};
     use crate::PersistConfig;
-    use gmdf_engine::EngineState;
-    use gmdf_gdm::EventKind;
+    use gmdf_engine::{EngineState, SegmentStore};
+    use gmdf_gdm::{EventKind, ModelEvent};
 
     const WAIT: Duration = Duration::from_secs(120);
 
@@ -2399,5 +2410,110 @@ mod tests {
         assert_eq!(seek(&damaged), report);
         assert_eq!(step_back(&damaged), step_back(&twin));
         assert_eq!(window(&damaged), window(&twin));
+    }
+
+    /// A snapshot that waited on a session's lock behind a maintenance
+    /// step counts that step: the registry is read after the session
+    /// rows, so `store_compactions` covers every compressed segment the
+    /// store stats show.
+    #[test]
+    fn a_snapshot_counts_the_maintenance_it_waited_behind() {
+        let spec = spec_of(ring_system("snapshot-order", 3, 0.0008, 500_000));
+        let root = tmp_root("snapshot-order");
+        let retention = Retention {
+            compress_after: Some(0),
+            max_disk_bytes: None,
+        };
+        let server = DebugServer::start_persistent(
+            one_worker(),
+            PersistConfig::new(&root)
+                .with_segment_capacity(16)
+                .with_retention(retention),
+        )
+        .expect("persistent server boots");
+        let handle = server.add_durable_session(&spec).expect("durable session");
+        let snapshot = std::thread::scope(|scope| {
+            // Seal one 16-entry segment under the lock.
+            let mut inner = lock(&handle.cell.inner);
+            while inner.session.engine().trace().len() < 16 {
+                inner.session.run_for(1_000_000).expect("runs");
+            }
+            let waiting = scope.spawn(|| server.metrics_snapshot());
+            // Gives the snapshot time to block on the lock. The
+            // assertions hold whenever it arrives; the wait only makes
+            // a snapshot that reads its counters before the lock fail.
+            std::thread::sleep(Duration::from_millis(200));
+            let report = inner
+                .session
+                .engine_mut()
+                .maintain_trace()
+                .expect("maintain");
+            assert_eq!(
+                report.compacted_segments, 1,
+                "one sealed segment to compress"
+            );
+            drop(inner);
+            waiting.join().expect("snapshot thread")
+        });
+        let fleet = snapshot.fleet;
+        assert_eq!(fleet.trace_compacted_segments, 1);
+        assert!(
+            fleet.store_compactions >= fleet.trace_compacted_segments,
+            "the snapshot shows {} compressed segments but counts {} compactions",
+            fleet.trace_compacted_segments,
+            fleet.store_compactions
+        );
+    }
+
+    /// A page is cut at its byte budget: always at least one entry, and
+    /// exactly the entries whose summed JSON fits. Pages chained from
+    /// `last().seq + 1`, starting mid-segment, cover the trace with no
+    /// gap and equal its entries.
+    #[test]
+    fn read_bounded_cuts_pages_at_the_byte_budget() {
+        let root = tmp_root("read-bounded");
+        let config = SegmentConfig {
+            capacity: 16,
+            codec: Codec::Binary,
+            ..SegmentConfig::default()
+        };
+        let store = SegmentStore::open_with(&root, config).expect("segment store");
+        let mut trace = ExecutionTrace::with_store(Box::new(store));
+        for i in 0..100u64 {
+            // Paths of varying length, so entries price differently.
+            let path = format!("node/actor/{}", "x".repeat((i % 7) as usize));
+            trace.record(
+                ModelEvent::new(i * 1_000, EventKind::TaskStart, &path),
+                vec![],
+                vec![],
+            );
+        }
+        trace.sync().expect("flush");
+        let entries = trace.try_entries().expect("entries");
+        let cost = |e: &TraceEntry| serde_json::to_string(e).expect("json").len() as u64;
+        let len = entries.len() as u64;
+
+        let one = read_bounded(&trace, 5, len, 1).expect("read");
+        assert_eq!(
+            one,
+            entries[5..6],
+            "a budget below one entry still ships one"
+        );
+        for (lo, k) in [(0usize, 1usize), (5, 3), (5, 20), (13, 40)] {
+            let budget = entries[lo..lo + k].iter().map(cost).sum();
+            let page = read_bounded(&trace, lo as u64, len, budget).expect("read");
+            assert_eq!(page, entries[lo..lo + k], "{k} entries' JSON from {lo}");
+        }
+
+        let budget = entries[..5].iter().map(cost).sum::<u64>();
+        let mut chained = Vec::new();
+        let mut next = 7;
+        while next < len {
+            let page = read_bounded(&trace, next, len, budget).expect("read");
+            assert!(!page.is_empty(), "every page makes progress");
+            next = page.last().expect("nonempty").seq + 1;
+            chained.extend(page);
+        }
+        assert_eq!(chained, entries[7..]);
     }
 }
